@@ -28,7 +28,21 @@ half-angle sines so no digits are lost for small s; below a small cutoff
 the integrand is replaced by its Taylor polynomial (coefficients are
 exact rationals in a and alpha).  Points outside the window are reduced
 into it by the shift equations (the "ladder"), and alpha < 1 is mapped
-through the modular identity first.
+through the modular identity first, so the window sees alpha >= 1.
+
+The integrand oscillates at frequency ~|Im z|, so the panel grid grows
+with it.  Far from the real axis it is not needed: with B_22(z | 1, alpha)
+= (z^2 - (1+alpha) z)/alpha + (1 + alpha^2 + 3 alpha)/(6 alpha),
+
+    log s2(z) = sgn(Im z) (pi i / 2) B_22(z | 1, alpha)
+                + O(e^{-2 pi |Im z| / alpha})       (alpha >= 1)
+
+(Kurokawa & Koyama, "Multiple sine functions", Forum Math. 15 (2003)),
+and window points with |Im z| >= Y(alpha) = 5.9 alpha, where the
+remainder is below 8e-17, take this closed form.  The rest are grouped
+by floor(|Im z|), and each group's grid is sized by its own points, so
+a point's cost is set by its own |Im z| and not by the largest one in
+its batch.
 
 The overall sign of the integral representation is the one thing the
 algebra does not pin down cheaply, so every alpha is validated once
@@ -44,11 +58,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivisionByZero, DomainError, HalfstableError, PoleProximity
+from .numerics import panel_nodes
 
 POLE_RADIUS = 1e-8
 MAX_LADDER_STEPS = 10_000
-
-_GLX, _GLW = np.polynomial.legendre.leggauss(24)
+# The closed form differs from log s2 by O(e^{-2 pi |Im w| / alpha}) for
+# alpha >= 1; from |Im w| = 5.9 alpha on that is below 8e-17.
+FAR_FIELD_C = 5.9
 
 
 @dataclass(frozen=True)
@@ -107,14 +123,14 @@ def _core_integrand(s, z, a, alpha):
     return (Q - (ac / alpha) * np.exp(-s) * (1.0 + s) / s) / s
 
 
-def _log_s2_window(z, alpha):
+def _log_s2_quadrature(z, alpha):
     """log s2 on the strip 0 < Re z < 1 + alpha, vectorized over z.
 
     Small-s head by a degree-5 Taylor polynomial of the integrand (the
     coefficients below are the exact series, generated symbolically and
     cross-checked against 40-digit quadrature), remainder by geometric
     Gauss-Legendre panels whose length is capped by the oscillation
-    scale max(|Im a|, |Im z|).
+    scale max(|Im a|, |Im z|) over the batch.
     """
     z = np.asarray(z, dtype=complex)
     a = 1.0 + alpha - 2.0 * z
@@ -143,11 +159,7 @@ def _log_s2_window(z, alpha):
     while edges[-1] < T:
         e = edges[-1]
         edges.append(min(e * 1.9, e + cap, T))
-    edges = np.asarray(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GLX[None, :]).ravel()
-    wts = (half[:, None] * _GLW[None, :]).ravel()
+    nodes, wts = panel_nodes(edges, order=24)
 
     out = np.empty(z.shape, dtype=complex)
     chunk = max(1, int(4_000_000 // max(nodes.size, 1)))
@@ -156,6 +168,33 @@ def _log_s2_window(z, alpha):
         vals = _core_integrand(nodes, z[sl], a[sl], alpha)
         out[sl] = vals @ wts
     return -(head + out) + a / alpha
+
+
+def _log_s2_far(w, alpha):
+    """The far-field closed form sgn(Im w) (pi i / 2) B_22(w | 1, alpha)."""
+    b22 = (w * w - (1.0 + alpha) * w) / alpha \
+        + (1.0 + alpha * alpha + 3.0 * alpha) / (6.0 * alpha)
+    return np.sign(w.imag) * (0.5j * np.pi) * b22
+
+
+def _log_s2_window(w, alpha):
+    """log s2 on the window alpha/2 <= Re w < alpha/2 + 1, for alpha >= 1.
+
+    Points with |Im w| >= FAR_FIELD_C alpha take the closed form.  The
+    others are grouped by floor(|Im w|) and each group gets a quadrature
+    grid sized by its own points, so no point pays for the largest
+    |Im w| of its batch.
+    """
+    w = np.asarray(w, dtype=complex)
+    im = np.abs(w.imag)
+    # group key -1 is the closed form, which NaN also takes and stays NaN
+    key = np.where(im < FAR_FIELD_C * alpha, np.floor(im), -1.0)
+    out = np.empty(w.shape, dtype=complex)
+    for k in set(key.tolist()):
+        group = key == k
+        evaluate = _log_s2_far if k < 0 else _log_s2_quadrature
+        out[group] = evaluate(w[group], alpha)
+    return out
 
 
 def _log_2sin(w):
@@ -387,10 +426,7 @@ def tau_binomial_check(b, s, alpha):
     Lp = min(42.0 / up_rate, 3000.0)
     Lm = min(42.0 / dn_rate, 3000.0)
     edges = np.linspace(-Lm, Lp, int(np.ceil((Lp + Lm) / 0.35)) + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GLX[None, :]).ravel()
-    wts = (half[:, None] * _GLW[None, :]).ravel()
+    nodes, wts = panel_nodes(edges, order=24)
     pair = s2_abs_squared_on_ray(beta, 0.0, np.exp(nodes), alpha)
     lhs = float(np.sum(wts * np.exp(s * nodes) * pair))
     # tails: |s2|^2 ~ e^{-b u} (u -> +inf) and e^{+b u} (u -> -inf),

@@ -39,7 +39,7 @@ Wiener-Hopf, profile, and eigenfunction layers in one number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import gamma as _gamma_fn, loggamma
@@ -54,20 +54,13 @@ from .numerics import (IntegrandProfile, QuadratureResult,
 from .profiles import ray_profile
 from .wienerhopf import rotated_sup_density
 
-DEFAULT_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class EigenFn:
-    """Eigenfunction selector: primal F or dual (co-eigenfunction) F_hat.
-
-    ``quadrature`` optionally carries the SpectralConfig of the caller;
-    only its ``tol`` attribute is consulted here.
-    """
+    """Eigenfunction selector: primal F or dual (co-eigenfunction) F_hat."""
 
     params: StableParams
     direction: str = "primal"
-    quadrature: Optional[Any] = None
 
     def __post_init__(self):
         if self.direction not in ("primal", "dual"):
@@ -83,11 +76,6 @@ class EigenFn:
     def params_eff(self) -> StableParams:
         return self.params if self.direction == "primal" \
             else self.params.dual()
-
-    @property
-    def tol(self) -> float:
-        return getattr(self.quadrature, "tol", DEFAULT_TOL) \
-            if self.quadrature is not None else DEFAULT_TOL
 
 
 def g_func(params: StableParams, x, deriv=0):

@@ -49,6 +49,7 @@ import numpy as np
 from .doublesine import SurfacePoint, log_s2, s2, s2_abs_squared_on_ray
 from .errors import DomainError
 from .model import StableParams, psi
+from .numerics import panel_nodes
 from .profiles import ray_profile, upper_gamma
 
 _ATOM_EPS = 1e-14  # |alpha rho - 1| below this means a degenerate mixture
@@ -299,10 +300,6 @@ def resolvent_density(params: StableParams, q, x, y):
     # v = m - z; v in (0, m], singularity v^(gexp-1) at v = 0
     v0 = 1e-13 * m
     edges = np.geomspace(v0, m, 72)
-    glx, glw = np.polynomial.legendre.leggauss(16)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    v = (mid[:, None] + half[:, None] * glx[None, :]).ravel()
-    w = (half[:, None] * glw[None, :]).ravel()
+    v, w = panel_nodes(edges, 16)
     vals = h_q_density(params, q, x, y, m - v)
     return float(np.sum(w * vals)) / q

@@ -5,17 +5,26 @@ file output are exercised the way a user hits them.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+import halfstable
+
+# the subprocess imports the same package this test run imported
+_SRC = str(Path(halfstable.__file__).resolve().parents[1])
+
 
 def run_cli(*args, **kw):
+    path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "halfstable.cli", *args],
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, **kw)
 
 
 def test_missing_argument_is_usage_error():
@@ -113,3 +122,22 @@ def test_verify_quick_passes_brownian():
     assert res.returncode == 0, res.stdout + res.stderr
     assert "ok" in res.stdout
     assert "FAIL" not in res.stdout
+
+
+def test_verify_quick_skips_lucky_integral_below_alpha_one():
+    res = run_cli("verify", "--alpha", "0.8", "--rho", "0.6", "--quick")
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "skipped: needs alpha > 1 or rho = 1/2" in res.stdout
+    assert "FAIL" not in res.stdout
+
+
+def test_transform_stretched_function():
+    res = run_cli("transform", "--alpha", "1.5", "--rho", "0.55",
+                  "--function", "stretched:1.4", "--lam", "1")
+    assert res.returncode == 0, res.stderr
+    value = res.stdout.strip().splitlines()[-1].split(",")[1]
+    assert np.isfinite(float(value))
+    # beta above alpha is not a class member: a domain error, exit 3
+    bad = run_cli("transform", "--alpha", "1.5", "--rho", "0.55",
+                  "--function", "stretched:1.8", "--lam", "1")
+    assert bad.returncode == 3, bad.stderr

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from halfstable.doublesine import (SurfacePoint, log_s2, q_pochhammer, s2,
-                                   s2_abs_squared_on_ray, s2_shift_ratio,
+from halfstable.doublesine import (FAR_FIELD_C, SurfacePoint, _log_s2_far,
+                                   _log_s2_quadrature, log_s2, q_pochhammer,
+                                   s2, s2_abs_squared_on_ray, s2_shift_ratio,
                                    tau_binomial_check)
 from halfstable.errors import (DivisionByZero, DomainError, PoleProximity)
 
@@ -133,7 +134,7 @@ def test_q_pochhammer_against_mpmath():
 
 
 def test_tau_binomial_identity():
-    assert tau_binomial_check(0.6, 0.0, 1.3) < 1e-10
+    assert tau_binomial_check(0.6, 0.0, 1.3) < 1e-13
     assert tau_binomial_check(0.85, 0.5, 0.8) < 1e-10
     # the first double sine pole sits exactly at b = (1+alpha)/2; the
     # integral diverges there and the precondition must refuse it
@@ -141,6 +142,60 @@ def test_tau_binomial_identity():
         tau_binomial_check(0.9, 0.5, 0.8)
     with pytest.raises(DomainError):
         tau_binomial_check(0.6, 0.7, 1.3)
+
+
+# At alpha = 0.2 the window quasi-period is 5 and the crossover sits at
+# |Im w| ~ 30, where the quadrature's own rounding reaches 1.5e-11
+# (4e-14 of |log s2| ~ 330); the closed form is the sharper side there.
+@pytest.mark.parametrize("alpha, tol", [(0.2, 3e-11), (0.5, 1e-12),
+                                        (1.0, 1e-12), (1.3, 1e-12),
+                                        (1.7, 1e-12), (2.0, 1e-12)])
+def test_far_field_matches_window_quadrature(alpha, tol):
+    aw = max(alpha, 1.0 / alpha)  # quasi-period after the modular map
+    y0 = FAR_FIELD_C * aw
+    re = 0.5 * aw + np.array([0.0, 0.25, 0.5, 0.75, 0.99])
+    im = np.linspace(y0 - 1.0, y0 + 3.0, 5)
+    w = (re[:, None] + 1j * im[None, :]).ravel()
+    w = np.concatenate((w, w.conj()))
+    quad = np.array([_log_s2_quadrature(np.array([v]), aw)[0] for v in w])
+    # a 2 pi i jump between the branches would exceed tol by far
+    assert np.max(np.abs(_log_s2_far(w, aw) - quad)) <= tol
+
+
+@pytest.mark.parametrize("alpha", (0.2, 0.7, 1.0, 1.5, 2.0))
+def test_mixed_batch_matches_scalar_calls(alpha):
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-1.0, 3.0, 60) + 1j * rng.uniform(-30.0, 30.0, 60)
+    z[:3] = (0.3, 1.2 + 0.5j, 0.9 - 0.01j)
+    scalar = np.array([log_s2(complex(v), alpha) for v in z])
+    assert_allclose(log_s2(z, alpha), scalar, rtol=1e-13, atol=1e-13)
+
+
+def _log_2sin_pi(w):
+    """log(2 sin(pi w)) modulo 2 pi i, without overflow at large |Im w|."""
+    s = 1.0 if w.imag >= 0 else -1.0
+    return s * (0.5j * np.pi - 1j * np.pi * w) \
+        + np.log1p(-np.exp(s * 2j * np.pi * w))
+
+
+def _mod_2pi_i(d):
+    return abs(complex(d.real, (d.imag + np.pi) % (2.0 * np.pi) - np.pi))
+
+
+@pytest.mark.parametrize("alpha", (0.2, 0.7, 1.0, 1.5, 2.0))
+@pytest.mark.parametrize("height", (20.0, 600.0))
+def test_functional_equations_far_from_axis(alpha, height):
+    # log s2 reaches ~1e6 at |Im z| = 600, so besides 1e-12 the bound
+    # allows the rounding of a number that size (about 5 ulp)
+    for x in np.linspace(0.05, 1.6, 5):
+        for z in (complex(x, height), complex(x, -height)):
+            ls = log_s2(z, alpha)
+            tol = 1e-12 + 1e-15 * abs(ls)
+            assert _mod_2pi_i(log_s2(z + 1.0, alpha) - ls
+                              + _log_2sin_pi(z / alpha)) <= tol
+            assert _mod_2pi_i(log_s2(z + alpha, alpha) - ls
+                              + _log_2sin_pi(z)) <= tol
+            assert _mod_2pi_i(ls + log_s2(1.0 + alpha - z, alpha)) <= tol
 
 
 def test_surface_point_keeps_winding():
