@@ -137,10 +137,14 @@ def _base_config(args, p=None) -> dict:
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (config, header, rows)
 
+def _complex_rows(f, zs):
+    """(z, Re f(z), Im f(z)) rows, one evaluation of f per z."""
+    return [(z, v.real, v.imag) for z, v in zip(zs, map(f, zs))]
+
+
 def _cmd_s2(args):
     from .doublesine import s2
-    rows = [(z, s2(z, args.alpha).real, s2(z, args.alpha).imag)
-            for z in args.z]
+    rows = _complex_rows(lambda z: s2(z, args.alpha), args.z)
     cfg = {"alpha": f"{args.alpha:.17g}", "z": ",".join(map(_cell, args.z))}
     return cfg, ["z", "re", "im"], rows
 
@@ -149,7 +153,7 @@ def _cmd_phi(args):
     from .wienerhopf import WhFactor, phi
     p = _params_of(args)
     factor = WhFactor(p, direction=args.direction)
-    rows = [(z, phi(factor, z).real, phi(factor, z).imag) for z in args.z]
+    rows = _complex_rows(lambda z: phi(factor, z), args.z)
     cfg = _base_config(args, p)
     cfg.update(direction=args.direction, z=",".join(map(_cell, args.z)))
     return cfg, ["z", "re", "im"], rows
@@ -169,8 +173,7 @@ def _cmd_laplace(args):
     from .eigenfunctions import EigenFn, laplace_f
     p = _params_of(args)
     fn = EigenFn(p, direction=args.direction)
-    rows = [(z, laplace_f(fn, z).real, laplace_f(fn, z).imag)
-            for z in args.z]
+    rows = _complex_rows(lambda z: laplace_f(fn, z), args.z)
     cfg = _base_config(args, p)
     cfg.update(direction=args.direction, z=",".join(map(_cell, args.z)))
     return cfg, ["z", "re", "im"], rows
@@ -180,8 +183,7 @@ def _cmd_mellin(args):
     from .eigenfunctions import EigenFn, mellin_f
     p = _params_of(args)
     fn = EigenFn(p, direction=args.direction)
-    rows = [(z, mellin_f(fn, z).real, mellin_f(fn, z).imag)
-            for z in args.z]
+    rows = _complex_rows(lambda z: mellin_f(fn, z), args.z)
     cfg = _base_config(args, p)
     cfg.update(direction=args.direction, z=",".join(map(_cell, args.z)))
     return cfg, ["z", "re", "im"], rows

@@ -78,12 +78,16 @@ class EigenFn:
             else self.params.dual()
 
 
+def _g_profile(params: StableParams):
+    """The ray profile whose Laplace transform is G."""
+    p = params
+    return ray_profile(p.alpha, 1.0 + p.alpha + 0.5 * p.alpha * p.rho_hat,
+                       0.5 * p.alpha * p.rho - 0.5)
+
+
 def g_func(params: StableParams, x, deriv=0):
     """The completely monotone component G; vectorized over x >= 0."""
-    p = params
-    prof = ray_profile(p.alpha, 1.0 + p.alpha + 0.5 * p.alpha * p.rho_hat,
-                       0.5 * p.alpha * p.rho - 0.5)
-    return prof.laplace(x, deriv=deriv)
+    return _g_profile(params).laplace(x, deriv=deriv)
 
 
 def _g_coef(params: StableParams) -> float:

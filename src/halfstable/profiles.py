@@ -18,14 +18,19 @@ W ~ z^e0 as z -> 0 and W ~ z^einf as z -> inf with
     einf = q + (1 + alpha)/2 - b,
 
 and relative corrections O(z^{min(1,alpha)}) resp. O(z^{-min(1,alpha)}).
+
+Each profile also serves its Laplace transform from a cubic spline in
+log x (``RayProfile.interp``), built on first use and kept on the
+profile, so ``ray_profile.cache_clear()`` drops both together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 from scipy.special import exp1, gammainc, gammaincc, gamma as _gamma_fn
 
 from .doublesine import s2_abs_squared_on_ray
@@ -81,8 +86,25 @@ def upper_gamma(a, x):
     return g
 
 
+_SPLINE_LO = 1e-12      # lower edge of the laplace spline
+_SPLINE_STEP = 0.006    # its node spacing in log x
+_SERIES_EDGE = 1e-3     # x z_hi up to which laplace sums the Taylor series
+_SERIES_TERMS = 6
+
+
 @dataclass(frozen=True)
 class RayProfile:
+    """W tabulated on the master grid, with its Laplace transform.
+
+    ``laplace`` is exact up to rounding: the grid dot plus the two
+    closed-form tails.  Where x z_hi <= 1e-3 the grid dot is summed as
+    its Taylor series sum_k (-x)^k M_k / k!, k < 6, with the moments
+    M_k = sum w W z^k (times -z for deriv 1) computed once per profile;
+    W >= 0 bounds M_k by z_hi^k M_0, so the dropped terms are below
+    1.5e-21 M_0.  ``interp`` serves laplace through a cubic spline in
+    log x on [1e-12, hi], step 0.006, built on first use and kept in
+    the profile's memo.
+    """
     alpha: float
     b: float
     q: float
@@ -93,6 +115,7 @@ class RayProfile:
     einf: float
     z_lo: float         # lower edge of quadrature coverage (= e^u_lo)
     z_hi: float         # upper edge of quadrature coverage (= e^u_hi)
+    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def laplace(self, x, deriv=0, chunk=256):
         """int_0^inf e^{-z x} (-z)^deriv W(z) dz with analytic tails.
@@ -106,12 +129,63 @@ class RayProfile:
         if np.any(xx < 0):
             raise DomainError("x must be >= 0")
         out = np.empty(xx.shape, dtype=float)
-        zw = self.w * self.vals if deriv == 0 else -self.w * self.vals * self.z
-        for i in range(0, xx.size, chunk):
-            sl = slice(i, i + chunk)
-            out[sl] = np.exp(-np.outer(xx[sl], self.z)) @ zw
+        small = xx * self.z_hi <= _SERIES_EDGE
+        if np.any(small):
+            xs = xx[small]
+            acc = np.zeros(xs.shape)
+            for c in reversed(self._moments(deriv)):
+                acc = acc * -xs + c
+            out[small] = acc
+        if not np.all(small):
+            xb = xx[~small]
+            dots = np.empty(xb.shape)
+            zw = self._zw(deriv)
+            for i in range(0, xb.size, chunk):
+                sl = slice(i, i + chunk)
+                dots[sl] = np.exp(-np.outer(xb[sl], self.z)) @ zw
+            out[~small] = dots
         out += self._low_tail(xx, deriv) + self._high_tail(xx, deriv)
         return float(out[0]) if scalar else out
+
+    def interp(self, x):
+        """laplace(x) (deriv 0) through the profile's cubic spline.
+
+        The spline's upper edge starts at max(64, 1.3 max x) and grows
+        at least 4x whenever a larger argument arrives, so a profile
+        builds it O(log) times in all.  Arguments below 1e-12 take the
+        exact laplace (its series branch).
+        """
+        x = np.asarray(x, dtype=float)
+        hi, spline = self._spline(float(x.max(initial=0.0)))
+        out = np.empty_like(x)
+        inside = (x >= _SPLINE_LO) & (x <= hi)
+        out[inside] = spline(np.log(x[inside]))
+        if not inside.all():
+            out[~inside] = self.laplace(x[~inside])
+        return out
+
+    def _spline(self, xmax):
+        hi, spline = self._memo.get("spline", (0.0, None))
+        if spline is None or xmax > hi:
+            hi = max(64.0, 4.0 * hi, 1.3 * xmax)
+            n = int(np.log(hi / _SPLINE_LO) / _SPLINE_STEP)
+            grid = np.linspace(np.log(_SPLINE_LO), np.log(hi), n)
+            spline = CubicSpline(grid, self.laplace(np.exp(grid)))
+            self._memo["spline"] = hi, spline
+        return hi, spline
+
+    def _zw(self, deriv):
+        wv = self.w * self.vals
+        return wv if deriv == 0 else -wv * self.z
+
+    def _moments(self, deriv):
+        """Taylor coefficients M_k / k! of the grid dot in powers of -x."""
+        key = ("moments", deriv)
+        if key not in self._memo:
+            zw = self._zw(deriv)
+            self._memo[key] = [zw @ self.z ** k / _gamma_fn(k + 1.0)
+                               for k in range(_SERIES_TERMS)]
+        return self._memo[key]
 
     def _low_tail(self, x, deriv):
         # int_0^zlo e^{-zx} z^(e0+deriv) dz = x^-a gammainc_lower(a, zlo x)

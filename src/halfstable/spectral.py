@@ -15,14 +15,16 @@ The quadratures share three ingredients.  First, a master grid of
 Gauss-Legendre panels sized to the oscillation frequency of the kernel,
 with a geometric cascade toward 0 so the x^(alpha rho_hat) kink at the
 origin keeps full order; every batched evaluation is a chunked matrix
-dot against that grid.  Second, F itself is served by a cubic-spline
-cache of its completely monotone part G on a dense log grid, because the
-exact profile evaluation costs a ~3000-node dot per point and the
-matrix kernels below need 1e6-1e8 points.  Third, integrals that
-converge only conditionally (the inversion Pi Pi_hat u and the
-eigenfunction check, whose tails decay like 1/lam times an oscillation)
-are split at a finite point and finished with the zero-partition
-averaging accelerator from ``numerics``.
+dot against that grid.  Second, the completely monotone part G of F is
+served by a cubic spline on a dense log grid, because the exact profile
+evaluation costs a ~3000-node dot per point and the matrix kernels
+below need 1e6-1e8 points.  The spline belongs to G's ray profile
+(``RayProfile.interp``): it is built once per parameter set, shared by
+every call, and dropped with the profile by ``ray_profile.cache_clear()``.
+Third, integrals that converge only conditionally (the inversion
+Pi Pi_hat u and the eigenfunction check, whose tails decay like 1/lam
+times an oscillation) are split at a finite point and finished with the
+zero-partition averaging accelerator from ``numerics``.
 
 Validity regimes are enforced as hard preconditions: the survival
 formula needs alpha > 1 or rho >= 1/2, the density and the semigroup
@@ -39,10 +41,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import PchipInterpolator
 
 from .doublesine import s2
-from .eigenfunctions import EigenFn, _g_coef, f_eigen, g_func
+from .eigenfunctions import EigenFn, _g_coef, _g_profile, f_eigen, g_func
 from .errors import BudgetExceeded, DomainError, NonConvergence
 from .model import StableParams
 from .numerics import (integrate_interval, integrate_oscillatory_decaying,
@@ -224,44 +226,16 @@ def _panel_grid(b: float, freq: float, n_min: int = 24,
     return panel_nodes(np.concatenate((geo, uni)), order=order)
 
 
-class _GCache:
-    """Spline cache of the completely monotone part G on a log grid.
-
-    Dense enough for ~1e-9 absolute spline error, extended lazily when
-    a larger argument shows up; arguments outside the cached range fall
-    back to the exact profile evaluation.
-    """
-
-    _LO = 1e-12
-
-    def __init__(self, params: StableParams):
-        self.params = params
-        self._hi = 0.0
-        self._spline = None
-
-    def _ensure(self, vmax: float):
-        if vmax <= self._hi:
-            return
-        hi = max(1.3 * vmax, 64.0)
-        n = max(1600, int(np.log(hi / self._LO) / 0.006))
-        grid = np.linspace(np.log(self._LO), np.log(hi), n)
-        self._spline = CubicSpline(grid, g_func(self.params, np.exp(grid)))
-        self._hi = hi
-
-    def __call__(self, v):
-        v = np.asarray(v, dtype=float)
-        self._ensure(float(v.max(initial=0.0)))
-        g = np.empty_like(v)
-        inside = (v >= self._LO) & (v <= self._hi)
-        g[inside] = self._spline(np.log(v[inside]))
-        if not inside.all():
-            g[~inside] = g_func(self.params, v[~inside])
-        return g
+def _chunked_dot(kernel, a, nodes, row):
+    """kernel(outer(a, nodes)) @ row, 64 entries of a at a time so the
+    outer-product temporary stays small."""
+    return np.concatenate([kernel(np.outer(a[i:i + 64], nodes)) @ row
+                           for i in range(0, a.size, 64)])
 
 
 class _FastEigen:
     """Vectorized F evaluation: direct oscillatory part (an exp and a
-    sin per point) plus the G cache."""
+    sin per point) plus G from the spline its ray profile keeps."""
 
     def __init__(self, fn: EigenFn):
         p = fn.params_eff
@@ -271,14 +245,14 @@ class _FastEigen:
         self.sin_r = np.sin(np.pi * r)
         self.theta0 = 0.5 * np.pi * r * (1.0 - alpha * rh)
         self.coef_g = _g_coef(p)
-        self.gcache = _GCache(p) if self.coef_g != 0.0 else None
+        self.g_spline = _g_profile(p).interp if self.coef_g != 0.0 else None
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
         out = np.exp(v * self.cos_r) * np.sin(v * self.sin_r + self.theta0)
         if self.coef_g == 0.0:
             return out
-        return out + self.coef_g * self.gcache(v)
+        return out + self.coef_g * self.g_spline(v)
 
     def damped(self, v, damp):
         """F(v) * e^(-damp), with the damping folded into the exponent
@@ -288,7 +262,7 @@ class _FastEigen:
             * np.sin(v * self.sin_r + self.theta0)
         if self.coef_g == 0.0:
             return out
-        return out + self.coef_g * self.gcache(v) * np.exp(-damp)
+        return out + self.coef_g * self.g_spline(v) * np.exp(-damp)
 
 
 def _growth_rate(params: StableParams, direction: str) -> float:
@@ -340,11 +314,15 @@ def survival(params: StableParams, x: float, t: float,
     if x <= 0 or t <= 0:
         raise DomainError("x and t must be positive")
     alpha, rh = params.alpha, params.rho_hat
+    s_lo = (np.log(cfg.tol) - 7.0) / (alpha * rh) - np.log(x)
+    if x * np.exp(s_lo) == 0.0:
+        raise NonConvergence(
+            "the lower limit of the lambda integral underflows at "
+            f"alpha rho_hat = {alpha * rh:.3g}")
     fe = _FastEigen(EigenFn(params))
     lam = _cutoff(alpha, t, x * _growth_rate(params, "primal"), cfg.tol,
                   _f_bound(fe), cfg.lambda_max or 0.0)
     s_hi = np.log(lam)
-    s_lo = (np.log(cfg.tol) - 7.0) / (alpha * rh) - np.log(x)
 
     def integrand(s):
         return np.exp(-t * np.exp(alpha * s)) * fe(x * np.exp(s))
@@ -432,12 +410,8 @@ class _HeatKernel:
     def _dot(self, y, which):
         nodes, row, damp = self._rows[which]
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.empty(y.size)
-        for i in range(0, y.size, 64):
-            sl = slice(i, i + 64)
-            out[sl] = self.fe_dual.damped(np.outer(y[sl], nodes),
-                                          damp[None, :]) @ row
-        return out
+        return _chunked_dot(lambda v: self.fe_dual.damped(v, damp[None, :]),
+                            y, nodes, row)
 
     def __call__(self, y):
         return self._dot(y, 0)
@@ -550,25 +524,18 @@ class _TransformKernel:
 
     def _dot(self, lams, which):
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        out = np.empty(lams.size)
         if not self._rotated:
             nodes, row = self._grids[which]
-            for i in range(0, lams.size, 64):
-                sl = slice(i, i + 64)
-                out[sl] = self.fe(np.outer(lams[sl], nodes)) @ row
-            return np.sqrt(_TWO_OVER_PI) * out
+            return np.sqrt(_TWO_OVER_PI) * _chunked_dot(self.fe, lams, nodes,
+                                                        row)
         k_nodes, k_row = self._k_grids[which]
-        for i in range(0, lams.size, 64):
-            sl = slice(i, i + 64)
-            kk = np.exp(np.outer(lams[sl], k_nodes) * self._ray) @ k_row
-            out[sl] = np.imag(self._theta * self._phase * kk)
+        kk = _chunked_dot(lambda v: np.exp(v * self._ray), lams, k_nodes,
+                          k_row)
+        out = np.imag(self._theta * self._phase * kk)
         if self.fe.coef_g != 0.0:
             m_nodes, m_row = self._m_grids[which]
-            gc = self.fe.gcache
-            for i in range(0, lams.size, 64):
-                sl = slice(i, i + 64)
-                out[sl] += self.fe.coef_g * (
-                    gc(np.outer(lams[sl], m_nodes)) @ m_row)
+            out += self.fe.coef_g * _chunked_dot(self.fe.g_spline, lams,
+                                                 m_nodes, m_row)
         return np.sqrt(_TWO_OVER_PI) * out
 
     def __call__(self, lams):
@@ -653,11 +620,7 @@ def semigroup_apply(params: StableParams, u: TestFunction, t: float,
     for scale in (1, 2):
         nodes, wts = _panel_grid(lam_cut, freq * scale, n_min=24 * scale)
         row = wts * np.exp(-t * nodes ** alpha) * kern(nodes)
-        vals = np.empty(xs.size)
-        for i in range(0, xs.size, 64):
-            sl = slice(i, i + 64)
-            vals[sl] = fe(np.outer(xs[sl], nodes)) @ row
-        pair.append(vals)
+        pair.append(_chunked_dot(fe, xs, nodes, row))
     est = float(np.max(np.abs(pair[1] - pair[0]))) + inner_est
     if est > 100.0 * cfg.tol:
         raise NonConvergence(f"semigroup grid error ~{est:.2e}")

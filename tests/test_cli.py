@@ -141,3 +141,20 @@ def test_transform_stretched_function():
     bad = run_cli("transform", "--alpha", "1.5", "--rho", "0.55",
                   "--function", "stretched:1.8", "--lam", "1")
     assert bad.returncode == 3, bad.stderr
+
+
+def test_complex_rows_evaluate_once_per_z(monkeypatch, capsys):
+    import halfstable.doublesine as ds
+    from halfstable import cli
+
+    calls = []
+    exact = ds.s2
+
+    def counting(z, alpha):
+        calls.append(z)
+        return exact(z, alpha)
+
+    monkeypatch.setattr(ds, "s2", counting)
+    assert cli.main(["s2", "--alpha", "1.7", "--z", "1,0.5+0.2j,2"]) == 0
+    assert len(calls) == 3
+    assert "1+0j" in capsys.readouterr().out

@@ -16,6 +16,7 @@ from scipy.special import erf
 from halfstable import DomainError, StableParams
 from halfstable.errors import NonConvergence
 from halfstable.numerics import integrate_interval, panel_nodes
+from halfstable.profiles import RayProfile, ray_profile
 from halfstable.spectral import (SpectralConfig, TestFunction, eigen_check,
                                  pi_hat_transform, pi_round_trip,
                                  pi_transform, semigroup_apply, survival,
@@ -244,3 +245,47 @@ def test_semigroup_vector_matches_scalar(p_generic):
 
 def test_eigen_relation_through_the_density(p_symmetric):
     assert eigen_check(p_symmetric, 1.0, 0.5, 1.0) < 1e-4
+
+
+# ------------------------------------------------------------- G spline
+
+
+def _record_laplace_args(monkeypatch):
+    """Every argument RayProfile.laplace receives, from now on."""
+    seen = []
+    exact = RayProfile.laplace
+
+    def spy(self, x, *args, **kw):
+        seen.append(np.ravel(np.asarray(x, dtype=float)).copy())
+        return exact(self, x, *args, **kw)
+
+    monkeypatch.setattr(RayProfile, "laplace", spy)
+    return seen
+
+
+def test_g_spline_is_built_once_per_profile(p_generic, monkeypatch):
+    ray_profile.cache_clear()
+    seen = _record_laplace_args(monkeypatch)
+    first = survival(p_generic, 1.0, 1.0)
+    args = np.concatenate(seen)
+    assert np.sum(args >= 1e-12) >= 1000  # the spline build
+    seen.clear()
+    assert survival(p_generic, 1.0, 1.0) == first
+    args = np.concatenate(seen)
+    # only the series branch below the spline's range is exact
+    assert args.size > 0 and np.all(args < 1e-12)
+
+
+def test_cache_clear_drops_the_g_spline(p_generic, monkeypatch):
+    before = survival(p_generic, 0.7, 2.0)
+    ray_profile.cache_clear()
+    seen = _record_laplace_args(monkeypatch)
+    after = survival(p_generic, 0.7, 2.0)
+    assert np.sum(np.concatenate(seen) >= 1e-12) >= 1000  # rebuilt
+    assert_allclose(after, before, rtol=1e-14)
+
+
+@pytest.mark.parametrize("alpha, rho", [(0.37, 0.95), (1.02, 0.97)])
+def test_survival_refuses_underflowing_lower_limit(alpha, rho):
+    with pytest.raises(NonConvergence, match="underflows"):
+        survival(StableParams(alpha, rho), 1.0, 1.0)
