@@ -305,39 +305,40 @@ def _cmd_simulate(args):
 # verify
 
 def _verify_checks(p, quick: bool):
-    """Yield (name, residual, tolerance) tuples; residual may be the
-    string "skipped: ..." when a regime guard applies."""
+    """Yield (name, check, tolerance) tuples.  check is a callable that
+    returns the residual, or the string "skipped: ..." when a regime
+    guard applies."""
     import numpy as np
     from .doublesine import s2, tau_binomial_check
     from .eigenfunctions import (EigenFn, f_eigen, laplace_f,
                                  laplace_f_quadrature, mellin_f,
                                  mellin_f_quadrature, verify_lucky_integral)
-    from .model import StableParams
     from .numerics import IntegrandProfile, integrate_semi_infinite
     from .wienerhopf import (WhFactor, factorization_residual, phi,
                              rotated_sup_density, sup_density)
 
     alpha, rho = p.alpha, p.rho
 
-    v = s2(1.0, alpha)
-    yield "s2 value at 1", abs(v - np.sqrt(alpha)) / np.sqrt(alpha), 1e-10
-    v = s2(0.5 * (1.0 + alpha), alpha)
-    yield "s2 value at (1+alpha)/2", abs(v - 1.0), 1e-10
+    yield "s2 value at 1", \
+        lambda: abs(s2(1.0, alpha) - np.sqrt(alpha)) / np.sqrt(alpha), 1e-10
+    yield "s2 value at (1+alpha)/2", \
+        lambda: abs(s2(0.5 * (1.0 + alpha), alpha) - 1.0), 1e-10
     z = 0.37 + 0.21j
-    fe1 = abs(s2(z + 1.0, alpha) * 2.0 * np.sin(np.pi * z / alpha)
-              / s2(z, alpha) - 1.0)
-    yield "s2 shift by 1", fe1, 1e-9
-    fe2 = abs(s2(z + alpha, alpha) * 2.0 * np.sin(np.pi * z)
-              / s2(z, alpha) - 1.0)
-    yield "s2 shift by alpha", fe2, 1e-9
-    refl = abs(s2(z, alpha) * s2(1.0 + alpha - z, alpha) - 1.0)
-    yield "s2 reflection", refl, 1e-9
-    yield "two-sided profile integral", tau_binomial_check(0.6, 0.0, 1.3), 1e-8
+    yield "s2 shift by 1", \
+        lambda: abs(s2(z + 1.0, alpha) * 2.0 * np.sin(np.pi * z / alpha)
+                    / s2(z, alpha) - 1.0), 1e-9
+    yield "s2 shift by alpha", \
+        lambda: abs(s2(z + alpha, alpha) * 2.0 * np.sin(np.pi * z)
+                    / s2(z, alpha) - 1.0), 1e-9
+    yield "s2 reflection", \
+        lambda: abs(s2(z, alpha) * s2(1.0 + alpha - z, alpha) - 1.0), 1e-9
+    yield "two-sided profile integral", \
+        lambda: tau_binomial_check(0.6, 0.0, 1.3), 1e-8
 
     zs = np.geomspace(0.1, 10.0, 7)
-    resid = max(max(factorization_residual(p, z),
-                    factorization_residual(p, -z)) for z in zs)
-    yield "wiener-hopf factorization", resid, 1e-8
+    yield "wiener-hopf factorization", \
+        lambda: max(max(factorization_residual(p, z),
+                        factorization_residual(p, -z)) for z in zs), 1e-8
 
     if abs(alpha * rho - 1.0) < 1e-9:
         yield "supremum normalization", "skipped: degenerate one-sided law", 0
@@ -348,36 +349,41 @@ def _verify_checks(p, quick: bool):
     else:
         prof = IntegrandProfile(decay="power", rate=-(1.0 + alpha),
                                 singularity=alpha * rho - 1.0)
-        mass = integrate_semi_infinite(lambda x: sup_density(p, x), prof,
-                                       tol=1e-9)
-        yield "supremum normalization", abs(mass.value - 1.0), 1e-6
-        lap = integrate_semi_infinite(
-            lambda x: np.exp(-x) * sup_density(p, x), prof, tol=1e-9)
-        want = phi(WhFactor(p), 1.0)
-        yield "laplace consistency", abs(lap.value - want), 1e-6
-        fn_d = EigenFn(p, direction="dual")
-        lhs = rotated_sup_density(p, 1.0)
-        coef = 2.0 / np.sqrt(alpha) * s2(1.0 + alpha * rho, alpha)
-        rhs = coef * (f_eigen(fn_d, 1.0) + np.exp(1j * np.pi * rho)
-                      * f_eigen(fn_d, 1.0, deriv=1))
-        yield "rotated-ray supremum density", abs(lhs - rhs), 1e-5
+        yield "supremum normalization", \
+            lambda: abs(integrate_semi_infinite(
+                lambda x: sup_density(p, x), prof, tol=1e-9).value - 1.0), 1e-6
+        yield "laplace consistency", \
+            lambda: abs(integrate_semi_infinite(
+                lambda x: np.exp(-x) * sup_density(p, x), prof,
+                tol=1e-9).value - phi(WhFactor(p), 1.0)), 1e-6
+
+        def rotated():
+            fn_d = EigenFn(p, direction="dual")
+            lhs = rotated_sup_density(p, 1.0)
+            coef = 2.0 / np.sqrt(alpha) * s2(1.0 + alpha * rho, alpha)
+            rhs = coef * (f_eigen(fn_d, 1.0) + np.exp(1j * np.pi * rho)
+                          * f_eigen(fn_d, 1.0, deriv=1))
+            return abs(lhs - rhs)
+
+        yield "rotated-ray supremum density", rotated, 1e-5
         if alpha > 1.0 or abs(rho - 0.5) <= 1e-12:
-            yield "lucky integral", verify_lucky_integral(p, 1.0, 1.5), 1e-5
+            yield "lucky integral", \
+                lambda: verify_lucky_integral(p, 1.0, 1.5), 1e-5
         else:
             yield "lucky integral", \
                 "skipped: needs alpha > 1 or rho = 1/2", 0
 
     fn = EigenFn(p)
-    lap_closed = laplace_f(fn, 1.1)
-    lap_quad = laplace_f_quadrature(fn, 1.1)
     yield "eigenfunction laplace transform", \
-        abs(lap_closed - lap_quad.value), 1e-6
+        lambda: abs(laplace_f(fn, 1.1)
+                    - laplace_f_quadrature(fn, 1.1).value), 1e-6
     if rho >= 0.5:
-        zm = complex(-0.3 * alpha * p.rho_hat, 0.4)
-        mel = mellin_f(fn, zm)
-        mel_quad = mellin_f_quadrature(fn, zm)
-        yield "eigenfunction mellin transform", \
-            abs(mel - mel_quad.value) / abs(mel), 1e-5
+        def mellin():
+            zm = complex(-0.3 * alpha * p.rho_hat, 0.4)
+            mel = mellin_f(fn, zm)
+            return abs(mel - mellin_f_quadrature(fn, zm).value) / abs(mel)
+
+        yield "eigenfunction mellin transform", mellin, 1e-5
     else:
         yield "eigenfunction mellin transform", \
             "skipped: needs rho >= 1/2", 0
@@ -386,61 +392,73 @@ def _verify_checks(p, quick: bool):
                            survival, transition_density)
     from .numerics import integrate_interval
     if alpha > 1.0 or rho >= 0.5:
-        s1 = survival(p, 2.0, 1.0)
-        s2_ = survival(p, 1.0, 2.0 ** -alpha)
-        yield "survival scaling", abs(s1 - s2_), 1e-8
+        yield "survival scaling", \
+            lambda: abs(survival(p, 2.0, 1.0)
+                        - survival(p, 1.0, 2.0 ** -alpha)), 1e-8
     else:
         yield "survival scaling", "skipped: outside survival regime", 0
     if alpha == 2.0:
         from scipy.special import erf
-        yield "brownian survival", abs(survival(p, 1.0, 1.0) - erf(0.5)), 1e-6
-    if not quick:
-        if alpha > 1.0 or rho >= 0.5:
-            u = TestFunction.power_tower()
-            rt = pi_round_trip(p, u, 1.0)
-            yield "transform inversion", abs(rt - u(1.0)), 1e-4
+        yield "brownian survival", \
+            lambda: abs(survival(p, 1.0, 1.0) - erf(0.5)), 1e-6
+    if quick:
+        return
+    if alpha > 1.0 or rho >= 0.5:
+        u = TestFunction.power_tower()
+        yield "transform inversion", \
+            lambda: abs(pi_round_trip(p, u, 1.0) - u(1.0)), 1e-4
+    else:
+        yield "transform inversion", "skipped: outside regime", 0
+    if not (alpha > 1.0 or abs(rho - 0.5) < 1e-12):
+        yield "density marginal vs survival", \
+            "skipped: outside density regime", 0
+        return
+    # When the dual kernel grows, the density is only spectrally
+    # resolvable while the integrand's peak exponent stays within
+    # double-precision cancellation; cut there and fit the power tail
+    # from two probes just inside the cut.
+    grow = max(np.cos(np.pi * p.rho_hat), 0.0)
+    y_cut = 60.0
+    if grow > 1e-12 and alpha > 1.0:
+        c_amp = (alpha ** (-1.0 / (alpha - 1.0))
+                 - alpha ** (-alpha / (alpha - 1.0)))
+        y_cut = min(60.0, (18.0 / c_amp) ** (1.0 - 1.0 / alpha) / grow)
+
+    def marginal():
+        s = survival(p, 1.0, 1.0)
+        cfg = SpectralConfig(tol=1e-6)
+        head = integrate_interval(
+            lambda y: transition_density(p, 1.0, y, 1.0, cfg),
+            1e-8, y_cut, tol=1e-8, frequency=3.0)
+        y1 = 5.0 * y_cut / 6.0
+        p1 = transition_density(p, 1.0, y1, 1.0, cfg)
+        p2 = transition_density(p, 1.0, y_cut, 1.0, cfg)
+        if p1 > p2 > 1e-200:
+            expo = np.log(p1 / p2) / np.log(y_cut / y1)
+            tail = p2 * y_cut / (expo - 1.0)
         else:
-            yield "transform inversion", "skipped: outside regime", 0
-        if alpha > 1.0 or abs(rho - 0.5) < 1e-12:
-            s = survival(p, 1.0, 1.0)
-            cfg = SpectralConfig(tol=1e-6)
-            # When the dual kernel grows, the density is only spectrally
-            # resolvable while the integrand's peak exponent stays within
-            # double-precision cancellation; cut there and fit the
-            # power tail from two probes just inside the cut.
-            grow = max(np.cos(np.pi * p.rho_hat), 0.0)
-            y_cut = 60.0
-            if grow > 1e-12 and alpha > 1.0:
-                c_amp = (alpha ** (-1.0 / (alpha - 1.0))
-                         - alpha ** (-alpha / (alpha - 1.0)))
-                y_cut = min(60.0, (18.0 / c_amp) ** (1.0 - 1.0 / alpha)
-                            / grow)
-            head = integrate_interval(
-                lambda y: transition_density(p, 1.0, y, 1.0, cfg),
-                1e-8, y_cut, tol=1e-8, frequency=3.0)
-            y1 = 5.0 * y_cut / 6.0
-            p1 = transition_density(p, 1.0, y1, 1.0, cfg)
-            p2 = transition_density(p, 1.0, y_cut, 1.0, cfg)
-            if p1 > p2 > 1e-200:
-                expo = np.log(p1 / p2) / np.log(y_cut / y1)
-                tail = p2 * y_cut / (expo - 1.0)
-            else:
-                tail = 0.0  # Gaussian case: no power tail left to add
-            tol_m = 1e-4 if y_cut >= 59.0 else 1e-3
-            yield "density marginal vs survival", \
-                abs(head.value + tail - s), tol_m
-        else:
-            yield "density marginal vs survival", \
-                "skipped: outside density regime", 0
+            tail = 0.0  # Gaussian case: no power tail left to add
+        return abs(head.value + tail - s)
+
+    yield "density marginal vs survival", marginal, \
+        1e-4 if y_cut >= 59.0 else 1e-3
 
 
 def _cmd_verify(args):
+    """Run every check on its own: one that raises a HalfstableError is
+    reported as a FAIL naming the error, and the suite goes on."""
     p = _params_of(args)
     failures = 0
     lines = []
-    for name, residual, tol in _verify_checks(p, args.quick):
-        if isinstance(residual, str):
-            lines.append(f"{name:36s} {residual}")
+    for name, check, tol in _verify_checks(p, args.quick):
+        if isinstance(check, str):
+            lines.append(f"{name:36s} {check}")
+            continue
+        try:
+            residual = check()
+        except HalfstableError as exc:
+            failures += 1
+            lines.append(f"{name:36s} FAIL ({type(exc).__name__}: {exc})")
             continue
         ok = residual <= tol
         failures += 0 if ok else 1

@@ -79,7 +79,9 @@ class EigenFn:
 
 
 def _g_profile(params: StableParams):
-    """The ray profile whose Laplace transform is G."""
+    """The ray profile whose Laplace transform is G.  At the dual
+    parameters it also gives the integral term of
+    ``wienerhopf.rotated_sup_density``."""
     p = params
     return ray_profile(p.alpha, 1.0 + p.alpha + 0.5 * p.alpha * p.rho_hat,
                        0.5 * p.alpha * p.rho - 0.5)

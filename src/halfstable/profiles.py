@@ -92,6 +92,14 @@ _SERIES_EDGE = 1e-3     # x z_hi up to which laplace sums the Taylor series
 _SERIES_TERMS = 6
 
 
+def _series(coefs, y):
+    """sum_k coefs[k] y^k by Horner's rule."""
+    acc = np.zeros(y.shape)
+    for c in reversed(coefs):
+        acc = acc * y + c
+    return acc
+
+
 @dataclass(frozen=True)
 class RayProfile:
     """W tabulated on the master grid, with its Laplace transform.
@@ -117,7 +125,7 @@ class RayProfile:
     z_hi: float         # upper edge of quadrature coverage (= e^u_hi)
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def laplace(self, x, deriv=0, chunk=256):
+    def laplace(self, x, deriv=0):
         """int_0^inf e^{-z x} (-z)^deriv W(z) dz with analytic tails.
 
         Vectorized over x >= 0 (scalar in, scalar out).  deriv in {0, 1}.
@@ -131,19 +139,14 @@ class RayProfile:
         out = np.empty(xx.shape, dtype=float)
         small = xx * self.z_hi <= _SERIES_EDGE
         if np.any(small):
-            xs = xx[small]
-            acc = np.zeros(xs.shape)
-            for c in reversed(self._moments(deriv)):
-                acc = acc * -xs + c
-            out[small] = acc
+            out[small] = _series(self._moments(deriv), -xx[small])
         if not np.all(small):
             xb = xx[~small]
-            dots = np.empty(xb.shape)
             zw = self._zw(deriv)
-            for i in range(0, xb.size, chunk):
-                sl = slice(i, i + chunk)
-                dots[sl] = np.exp(-np.outer(xb[sl], self.z)) @ zw
-            out[~small] = dots
+            # 64 rows at a time keep the exp temporary small
+            out[~small] = np.concatenate(
+                [np.exp(-np.outer(xb[i:i + 64], self.z)) @ zw
+                 for i in range(0, xb.size, 64)])
         out += self._low_tail(xx, deriv) + self._high_tail(xx, deriv)
         return float(out[0]) if scalar else out
 
@@ -188,17 +191,23 @@ class RayProfile:
         return self._memo[key]
 
     def _low_tail(self, x, deriv):
-        # int_0^zlo e^{-zx} z^(e0+deriv) dz = x^-a gammainc_lower(a, zlo x)
-        # with a = e0 + deriv + 1; exact, stable even for zlo x = O(1)
+        # int_0^zlo e^{-zx} z^(a-1) dz with a = e0 + deriv + 1: the lower
+        # incomplete gamma x^-a gamma(a, zlo x), stable even for zlo x =
+        # O(1).  Where zlo x <= 1e-3 it is the series zlo^a sum_k
+        # (-zlo x)^k / (k! (a+k)), k < 6 (dropped terms < 1.4e-21
+        # relative), since for tiny x x^-a overflows while gamma
+        # underflows, and inf * 0 is nan.
         zlo = self.z_lo
         a = self.e0 + 1.0 + deriv
-        out = np.empty(np.shape(x), dtype=float)
-        pos = np.asarray(x) > 0
-        if np.any(pos):
-            xp = np.asarray(x)[pos]
-            out[pos] = xp ** (-a) * gammainc(a, zlo * xp) * _gamma_fn(a)
-        if np.any(~pos):
-            out[~pos] = zlo ** a / a
+        out = np.empty(x.shape, dtype=float)
+        small = zlo * x <= _SERIES_EDGE
+        if np.any(small):
+            coefs = [zlo ** a / (a + k) / _gamma_fn(k + 1.0)
+                     for k in range(_SERIES_TERMS)]
+            out[small] = _series(coefs, -zlo * x[small])
+        if not np.all(small):
+            xb = x[~small]
+            out[~small] = xb ** (-a) * gammainc(a, zlo * xb) * _gamma_fn(a)
         return -out if deriv == 1 else out
 
     def _high_tail(self, x, deriv):

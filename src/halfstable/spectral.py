@@ -15,7 +15,9 @@ The quadratures share three ingredients.  First, a master grid of
 Gauss-Legendre panels sized to the oscillation frequency of the kernel,
 with a geometric cascade toward 0 so the x^(alpha rho_hat) kink at the
 origin keeps full order; every batched evaluation is a chunked matrix
-dot against that grid.  Second, the completely monotone part G of F is
+dot against that grid.  Each such integral gets a coarse and a fine
+grid (``_grid_pair``), and the gap between the two is its error
+estimate.  Second, the completely monotone part G of F is
 served by a cubic spline on a dense log grid, because the exact profile
 evaluation costs a ~3000-node dot per point and the matrix kernels
 below need 1e6-1e8 points.  The spline belongs to G's ray profile
@@ -55,20 +57,14 @@ _TWO_OVER_PI = 2.0 / np.pi
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """Knobs for the spectral quadratures.
+    """Accuracy target of the spectral quadratures.
 
-    lambda_max of None lets each operation pick its own cutoff from the
-    e^(-t lam^alpha) tail (plus any exponential growth of the kernel)
-    so the truncated tail stays below tol/10; an explicit value acts as
-    a lower bound on that automatic choice.  oscillation_handling turns
-    the averaging accelerator for conditionally convergent tails on and
-    off; with it off those tails are truncated hard and the result is
-    only as good as the truncation (diagnostic use).
+    tol is the error each operation aims for: it sets the lam cutoff
+    (the truncated e^(-t lam^alpha) tail stays below tol/10), the
+    quadrature tolerances and the grid-refinement gates.
     """
 
-    lambda_max: Optional[float] = None
     tol: float = 1e-8
-    oscillation_handling: bool = True
 
 
 _DEFAULT_CFG = SpectralConfig()
@@ -199,19 +195,19 @@ class TestFunction:
 
 
 def _cutoff(alpha: float, t: float, growth: float, tol: float,
-            bound: float, floor: float = 0.0) -> float:
+            bound: float) -> float:
     """lam beyond which e^(-t lam^alpha + growth lam) * bound < tol/10."""
     big_l = np.log(10.0 * max(bound, 1.0) / tol)
     lam = (big_l / t) ** (1.0 / alpha)
     for _ in range(40):
         lam = ((big_l + max(growth, 0.0) * lam) / t) ** (1.0 / alpha)
-    return max(1.05 * lam, floor)
+    return 1.05 * lam
 
 
-def _panel_grid(b: float, freq: float, n_min: int = 24,
-                head_decades: float = 16.0, order: int = 16):
+def _panel_grid(b: float, freq: float, n_min: int):
     """GL nodes/weights on (~0, b]: uniform panels of ~one oscillation
-    period each, plus a geometric cascade toward the origin."""
+    period each, plus a geometric cascade of 54 halvings (16 decades)
+    toward the origin."""
     width = b / n_min
     if freq > 0:
         width = min(width, 2.0 * np.pi / freq)
@@ -221,9 +217,26 @@ def _panel_grid(b: float, freq: float, n_min: int = 24,
             f"oscillation grid would need {k} panels; narrow the "
             "frequency range or raise the tolerance")
     uni = np.linspace(b / k, b, k)
-    m = int(np.ceil(head_decades * np.log(10.0) / np.log(2.0)))
-    geo = uni[0] * 2.0 ** (-np.arange(m, 0, -1, dtype=float))
-    return panel_nodes(np.concatenate((geo, uni)), order=order)
+    geo = uni[0] * 2.0 ** (-np.arange(54, 0, -1, dtype=float))
+    return panel_nodes(np.concatenate((geo, uni)))
+
+
+def _grid_pair(b: float, freq: float, row):
+    """The coarse and the fine grid of one integral on (~0, b].
+
+    The fine grid has twice the panels.  Each comes as (nodes, row),
+    with the caller's weight row(nodes, weights) folded in, so one
+    chunked dot per grid integrates a kernel; ``_gap`` of the two
+    results is the error estimate.
+    """
+    return [(nodes, row(nodes, wts)) for nodes, wts in
+            (_panel_grid(b, freq * scale, n_min=24 * scale)
+             for scale in (1, 2))]
+
+
+def _gap(coarse, fine) -> float:
+    """Error estimate of a grid pair: the largest fine - coarse gap."""
+    return float(np.max(np.abs(fine - coarse), initial=0.0))
 
 
 def _chunked_dot(kernel, a, nodes, row):
@@ -321,7 +334,7 @@ def survival(params: StableParams, x: float, t: float,
             f"alpha rho_hat = {alpha * rh:.3g}")
     fe = _FastEigen(EigenFn(params))
     lam = _cutoff(alpha, t, x * _growth_rate(params, "primal"), cfg.tol,
-                  _f_bound(fe), cfg.lambda_max or 0.0)
+                  _f_bound(fe))
     s_hi = np.log(lam)
 
     def integrand(s):
@@ -364,9 +377,10 @@ _CANCEL_CAP = 22.0
 class _HeatKernel:
     """Batched evaluator of p_t(x, .) on a fixed master grid.
 
-    Holds the spectral nodes once; each call is a chunked matrix dot of
-    the dual kernel against the precomputed x-row.  eval_with_est also
-    re-evaluates on a refined grid for an error estimate.
+    Holds a coarse/fine grid pair once; each call is a chunked matrix
+    dot of the dual kernel against the precomputed x-row of the coarse
+    grid.  eval_with_est returns the fine grid's values and the gap to
+    the coarse ones as an error estimate.
 
     Either eigenfunction factor may grow like e^(growth * lam) while
     the product stays small under e^(-t lam^alpha), so evaluating the
@@ -380,7 +394,6 @@ class _HeatKernel:
 
     def __init__(self, params: StableParams, x: float, t: float,
                  ymax: float, cfg: SpectralConfig):
-        self.params, self.x, self.t = params, x, t
         self.fe_dual = _FastEigen(EigenFn(params, direction="dual"))
         fe = _FastEigen(EigenFn(params))
         g_primal = x * _growth_rate(params, "primal")
@@ -393,24 +406,22 @@ class _HeatKernel:
                 f"needs e^{cap:.0f} cancellation, beyond double precision; "
                 "shrink the y range or x (the far spatial tail is one-jump "
                 "dominated, ~ y^-(1+alpha), not spectrally resolvable here)")
-        self._w_dual = g_dual / growth if growth > 0 else 0.5
+        w_dual = g_dual / growth if growth > 0 else 0.5
         lam = _cutoff(params.alpha, t, growth, cfg.tol,
-                      _f_bound(fe) * _f_bound(self.fe_dual),
-                      cfg.lambda_max or 0.0)
+                      _f_bound(fe) * _f_bound(self.fe_dual))
         freq = x * _freq_rate(params, "primal") \
             + ymax * _freq_rate(params, "dual")
-        self._rows = []
-        for scale in (1, 2):
-            nodes, wts = _panel_grid(lam, freq * scale, n_min=24 * scale)
-            damp = t * nodes ** params.alpha
-            row = _TWO_OVER_PI * wts \
-                * fe.damped(x * nodes, (1.0 - self._w_dual) * damp)
-            self._rows.append((nodes, row, self._w_dual * damp))
+        self._grids = _grid_pair(lam, freq, lambda nodes, wts: (
+            _TWO_OVER_PI * wts * fe.damped(
+                x * nodes, (1.0 - w_dual) * (t * nodes ** params.alpha))))
+        self._damps = [w_dual * (t * nodes ** params.alpha)
+                       for nodes, _ in self._grids]
 
     def _dot(self, y, which):
-        nodes, row, damp = self._rows[which]
+        nodes, row = self._grids[which]
+        damp = self._damps[which][None, :]
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        return _chunked_dot(lambda v: self.fe_dual.damped(v, damp[None, :]),
+        return _chunked_dot(lambda v: self.fe_dual.damped(v, damp),
                             y, nodes, row)
 
     def __call__(self, y):
@@ -419,7 +430,7 @@ class _HeatKernel:
     def eval_with_est(self, y):
         coarse = self._dot(y, 0)
         fine = self._dot(y, 1)
-        return fine, np.max(np.abs(fine - coarse), initial=0.0)
+        return fine, _gap(coarse, fine)
 
 
 def transition_density(params: StableParams, x: float, y, t: float,
@@ -468,18 +479,14 @@ class _TransformKernel:
 
     def __init__(self, params: StableParams, direction: str,
                  u: TestFunction, lam_hi: float, cfg: SpectralConfig):
-        self.lam_hi = lam_hi
         self.fe = _FastEigen(EigenFn(params, direction=direction))
         growth = lam_hi * _growth_rate(params, direction)
         self._rotated = growth > 0.0
         log_floor = np.log(cfg.tol) - 12.0
         if not self._rotated:
-            b = u.support_end(log_floor)
-            freq = lam_hi * _freq_rate(params, direction)
-            self._grids = []
-            for scale in (1, 2):
-                nodes, wts = _panel_grid(b, freq * scale, n_min=24 * scale)
-                self._grids.append((nodes, wts * u(nodes)))
+            self._grids = _grid_pair(u.support_end(log_floor),
+                                     lam_hi * _freq_rate(params, direction),
+                                     lambda nodes, wts: wts * u(nodes))
             return
         if u.class_tag != "x_alpha_member":
             raise DomainError(
@@ -496,18 +503,13 @@ class _TransformKernel:
         self._phase = np.exp(1j * phi)
         self._ray = np.exp(1j * (np.pi * p_eff.rho + phi))
         self._theta = np.exp(1j * self.fe.theta0)
-        b_rot = self._ray_support(u, self._phase, log_floor)
-        freq_k = lam_hi * abs(self._ray.imag)
-        self._k_grids = []
-        self._m_grids = []
-        for scale in (1, 2):
-            nodes, wts = _panel_grid(b_rot, freq_k * scale, n_min=24 * scale)
-            self._k_grids.append((nodes, wts * u(nodes * self._phase)))
+        self._k_grids = _grid_pair(
+            self._ray_support(u, self._phase, log_floor),
+            lam_hi * abs(self._ray.imag),
+            lambda nodes, wts: wts * u(nodes * self._phase))
         if self.fe.coef_g != 0.0:
-            b_real = u.support_end(log_floor)
-            for scale in (1, 2):
-                nodes, wts = _panel_grid(b_real, 0.0, n_min=24 * scale)
-                self._m_grids.append((nodes, wts * u(nodes)))
+            self._m_grids = _grid_pair(u.support_end(log_floor), 0.0,
+                                       lambda nodes, wts: wts * u(nodes))
 
     @staticmethod
     def _ray_support(u, phase, log_floor):
@@ -542,8 +544,10 @@ class _TransformKernel:
         return self._dot(lams, 0)
 
     def est_at(self, lams):
-        return float(np.max(np.abs(self._dot(lams, 1) - self._dot(lams, 0)),
-                            initial=0.0))
+        # fine grid first: the G spline's upper edge depends on the order
+        # of the arguments it meets, so the order shows in the last digits
+        fine = self._dot(lams, 1)
+        return _gap(self._dot(lams, 0), fine)
 
 
 def _pi_common(params, u, lam, cfg, direction):
@@ -594,8 +598,7 @@ def semigroup_apply(params: StableParams, u: TestFunction, t: float,
         raise DomainError("x and t must be positive")
     alpha = params.alpha
     fe = _FastEigen(EigenFn(params))
-    lam_cut = _cutoff(alpha, t, 0.0, cfg.tol, _f_bound(fe),
-                      cfg.lambda_max or 0.0)
+    lam_cut = _cutoff(alpha, t, 0.0, cfg.tol, _f_bound(fe))
     kern = _TransformKernel(params, "dual", u, lam_cut, cfg)
     probes = np.geomspace(lam_cut * 1e-3, lam_cut, 24)
     inner_est = kern.est_at(probes) * lam_cut
@@ -616,15 +619,13 @@ def semigroup_apply(params: StableParams, u: TestFunction, t: float,
         return float(np.sqrt(_TWO_OVER_PI) * res.value)
 
     freq = float(xs.max()) * _freq_rate(params, "primal")
-    pair = []
-    for scale in (1, 2):
-        nodes, wts = _panel_grid(lam_cut, freq * scale, n_min=24 * scale)
-        row = wts * np.exp(-t * nodes ** alpha) * kern(nodes)
-        pair.append(_chunked_dot(fe, xs, nodes, row))
-    est = float(np.max(np.abs(pair[1] - pair[0]))) + inner_est
+    grids = _grid_pair(lam_cut, freq, lambda nodes, wts: (
+        wts * np.exp(-t * nodes ** alpha) * kern(nodes)))
+    coarse, fine = (_chunked_dot(fe, xs, nodes, row) for nodes, row in grids)
+    est = _gap(coarse, fine) + inner_est
     if est > 100.0 * cfg.tol:
         raise NonConvergence(f"semigroup grid error ~{est:.2e}")
-    return np.sqrt(_TWO_OVER_PI) * pair[1]
+    return np.sqrt(_TWO_OVER_PI) * fine
 
 
 def pi_round_trip(params: StableParams, u: TestFunction, x: float,
@@ -642,8 +643,7 @@ def pi_round_trip(params: StableParams, u: TestFunction, x: float,
     fe = _FastEigen(EigenFn(params))
     freq = x * _freq_rate(params, "primal")
     lam0 = 30.0
-    lam_hi = lam0 + 50.0 * np.pi / freq if cfg.oscillation_handling \
-        else lam0
+    lam_hi = lam0 + 50.0 * np.pi / freq
     kern = _TransformKernel(params, "dual", u, lam_hi * 1.02, cfg)
 
     def integrand(lams):
@@ -651,13 +651,9 @@ def pi_round_trip(params: StableParams, u: TestFunction, x: float,
 
     head = integrate_interval(integrand, lam0 * 1e-8, lam0,
                               tol=cfg.tol, frequency=freq)
-    if cfg.oscillation_handling:
-        tail = integrate_oscillatory_decaying(
-            integrand, 0.0, freq, tol=max(cfg.tol, 1e-9), start=lam0)
-        tail_val = tail.value
-    else:
-        tail_val = 0.0
-    return float(np.sqrt(_TWO_OVER_PI) * (head.value + tail_val))
+    tail = integrate_oscillatory_decaying(
+        integrand, 0.0, freq, tol=max(cfg.tol, 1e-9), start=lam0)
+    return float(np.sqrt(_TWO_OVER_PI) * (head.value + tail.value))
 
 
 def eigen_check(params: StableParams, lam: float, t: float, x: float,
@@ -678,7 +674,7 @@ def eigen_check(params: StableParams, lam: float, t: float, x: float,
     fe = _FastEigen(EigenFn(params))
     freq = lam * _freq_rate(params, "primal")
     y0 = 25.0 + 4.0 / lam
-    y_hi = y0 + (52.0 * np.pi / freq if cfg.oscillation_handling else 0.0)
+    y_hi = y0 + 52.0 * np.pi / freq
     kern = _HeatKernel(params, x, t, y_hi * 1.02, cfg)
 
     def integrand(y):
@@ -686,12 +682,9 @@ def eigen_check(params: StableParams, lam: float, t: float, x: float,
 
     head = integrate_interval(integrand, y0 * 1e-8, y0,
                               tol=cfg.tol, frequency=freq)
-    tail_val = 0.0
-    if cfg.oscillation_handling:
-        tail = integrate_oscillatory_decaying(
-            integrand, 0.0, freq, tol=max(cfg.tol, 1e-8), start=y0)
-        tail_val = tail.value
-    lhs = head.value + tail_val
+    tail = integrate_oscillatory_decaying(
+        integrand, 0.0, freq, tol=max(cfg.tol, 1e-8), start=y0)
+    lhs = head.value + tail.value
     rhs = np.exp(-t * lam ** params.alpha) \
         * float(f_eigen(EigenFn(params), lam * x))
     return float(abs(lhs - rhs) / abs(rhs))

@@ -27,17 +27,18 @@ up a residue from the pole pair at e^(+-i pi (1/alpha - rho)), giving
         -i (s2(alpha rho)/sqrt(alpha))
             exp(-x e^(i pi rho) + i pi alpha rho rho_hat / 2
                 + 3 i pi rho / 2)
-        + int_0^inf e^(-z x) mu_rot(z) dz,
+        - (sin(pi alpha rho)/pi) (e^(i pi rho) Ghat'(x) + Ghat(x)),
 
-    mu_rot(z) = (sin(pi alpha rho)/pi) z^(alpha rho_hat/2 - 1/2)
-                (e^(i pi rho) z - 1)
-                |s2(1 + alpha + alpha rho/2 + i alpha log(z)/(2 pi))|^2,
-
-which is what ``rotated_sup_density`` evaluates (the direct left-hand
-side would require f_sup at complex arguments where the defining
-integral no longer converges).  ``resolvent_density`` assembles the
-q-resolvent of the process killed at first exit from (0, inf) out of
-the two rescaled extremum densities.
+where Ghat is the G profile of the dual parameters (rho and rho_hat
+swapped; see ``eigenfunctions``): the continued measure is
+(sin(pi alpha rho)/pi) (e^(i pi rho) z - 1) times Ghat's ray weight
+z^(alpha rho_hat/2 - 1/2) |s2(1 + alpha + alpha rho/2 + i alpha
+log(z)/(2 pi))|^2.  That is what ``rotated_sup_density`` evaluates
+(the direct left-hand side would require f_sup at complex arguments
+where the defining integral no longer converges), from the same
+cached profile that serves the co-eigenfunction F_hat.
+``resolvent_density`` assembles the q-resolvent of the process killed
+at first exit from (0, inf) out of the two rescaled extremum densities.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .doublesine import SurfacePoint, log_s2, s2, s2_abs_squared_on_ray
 from .errors import DomainError
 from .model import StableParams, psi
 from .numerics import panel_nodes
-from .profiles import ray_profile, upper_gamma
+from .profiles import ray_profile
 
 _ATOM_EPS = 1e-14  # |alpha rho - 1| below this means a degenerate mixture
 
@@ -217,9 +218,11 @@ def inf_density(params: StableParams, x):
 
 def rotated_sup_density(params: StableParams, x, sign=+1):
     """e^(sign i pi/alpha) f_sup(e^(sign i pi/alpha) x) for x > 0, via
-    the residue plus continued-measure representation quoted in the
-    module docstring (sign = -1 mirrors every phase, so the result is
-    the Schwarz reflection of the sign = +1 value).
+    the residue term plus the integral term -c (e^(sign i pi rho)
+    Ghat'(x) + Ghat(x)), c = sin(pi alpha rho)/pi, with Ghat the G
+    profile of the dual parameters, as in the module docstring (sign =
+    -1 mirrors every phase, so the result is the Schwarz reflection of
+    the sign = +1 value).
 
     Valid for x in (0, 50]; beyond that the cancellation between the
     oscillatory residue term and the integral term erodes accuracy.
@@ -244,19 +247,10 @@ def rotated_sup_density(params: StableParams, x, sign=+1):
 
     c = np.sin(np.pi * alpha * r) / np.pi
     if abs(c) > 1e-15:
-        prof = ray_profile(alpha, 1.0 + alpha + 0.5 * alpha * r, 0.0)
-        zz = prof.z
-        base = prof.w * prof.vals * zz ** (0.5 * alpha * rh - 0.5)
-        for i in range(0, xx.size, 128):
-            sl = slice(i, i + 128)
-            ker = np.exp(-np.outer(xx[sl], zz))
-            out[sl] += c * (ker @ (base * (rot * zz - 1.0)))
-        # analytic tails of the continued measure: mu_rot ~
-        # c (e^{sign i pi rho} z^{-alpha rho} - z^{-alpha rho - 1})
-        zhi = prof.z_hi
-        ar = alpha * r
-        out += c * rot * xx ** (ar - 1.0) * upper_gamma(1.0 - ar, zhi * xx)
-        out -= c * xx ** ar * upper_gamma(-ar, zhi * xx)
+        # imported here: eigenfunctions imports this module
+        from .eigenfunctions import _g_profile
+        prof = _g_profile(params.dual())
+        out -= c * (rot * prof.laplace(xx, deriv=1) + prof.laplace(xx))
     return complex(out[0]) if scalar else out
 
 

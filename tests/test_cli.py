@@ -158,3 +158,31 @@ def test_complex_rows_evaluate_once_per_z(monkeypatch, capsys):
     assert cli.main(["s2", "--alpha", "1.7", "--z", "1,0.5+0.2j,2"]) == 0
     assert len(calls) == 3
     assert "1+0j" in capsys.readouterr().out
+
+
+def test_verify_reports_a_raising_check_and_goes_on():
+    res = run_cli("verify", "--quick", "--alpha", "0.2", "--rho", "0.5")
+    assert res.returncode == 5, res.stdout + res.stderr
+    for name in ("s2 value at 1", "s2 value at (1+alpha)/2", "s2 shift by 1",
+                 "s2 shift by alpha", "s2 reflection",
+                 "two-sided profile integral", "wiener-hopf factorization",
+                 "supremum normalization", "laplace consistency",
+                 "rotated-ray supremum density", "lucky integral",
+                 "eigenfunction laplace transform",
+                 "eigenfunction mellin transform", "survival scaling"):
+        assert name in res.stdout
+    line = [ln for ln in res.stdout.splitlines()
+            if ln.startswith("survival scaling")][0]
+    assert "FAIL (NonConvergence" in line
+
+
+def test_verify_builds_each_profile_once(capsys):
+    from halfstable import cli
+    from halfstable.profiles import ray_profile
+
+    ray_profile.cache_clear()
+    cli.main(["verify", "--quick", "--alpha", "1.5", "--rho", "0.55"])
+    # the G profiles of (alpha, rho) and of its dual, and the mu profile;
+    # the rotated density reads the dual G profile instead of its own
+    assert ray_profile.cache_info().misses == 3
+    assert "FAIL" not in capsys.readouterr().out

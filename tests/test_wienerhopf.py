@@ -166,19 +166,23 @@ def test_rotated_signs_are_conjugate(p_generic):
     assert_allclose(minus, np.conj(plus), rtol=1e-13)
 
 
-def test_rotated_matches_eigenfunction_combination(p_generic):
+def test_rotated_matches_eigenfunction_combination():
     """The rotated supremum density equals a two-term combination of the
     dual eigenfunction and its derivative; this ties the excursion-side
-    objects to the spectral-side ones and both routes are independent.
+    objects to the spectral-side ones.  Both routes share the dual G
+    profile (its Laplace transform and derivative); the residue term and
+    the oscillatory term stay independent.
     """
-    a, r = p_generic.alpha, p_generic.rho
-    fn = EigenFn(p_generic, direction="dual")
-    coef = 2.0 / np.sqrt(a) * s2(1.0 + a * r, a)
-    for x in (0.5, 1.0, 2.0):
-        lhs = rotated_sup_density(p_generic, x)
-        rhs = coef * (f_eigen(fn, x)
-                      + np.exp(1j * np.pi * r) * f_eigen(fn, x, deriv=1))
-        assert abs(lhs - rhs) < 1e-6
+    for alpha, rho in [(1.5, 0.55), (1.3, 0.5), (0.8, 0.6), (1.5, 0.45),
+                       (0.3, 0.5), (0.6, 0.9), (1.2, 0.3), (1.9, 0.52)]:
+        p = StableParams(alpha, rho)
+        fn = EigenFn(p, direction="dual")
+        coef = 2.0 / np.sqrt(alpha) * s2(1.0 + alpha * rho, alpha)
+        for x in (0.05, 0.5, 1.0, 2.0, 8.0):
+            lhs = rotated_sup_density(p, x)
+            rhs = coef * (f_eigen(fn, x) + np.exp(1j * np.pi * rho)
+                          * f_eigen(fn, x, deriv=1))
+            assert abs(lhs - rhs) < 1e-9, (alpha, rho, x)
 
 
 def test_rotated_domain_checks(p_generic):
