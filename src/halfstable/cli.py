@@ -32,11 +32,14 @@ _EXIT_DOMAIN = 3
 _EXIT_NUMERICS = 4
 _EXIT_VERIFY = 5
 
+# what float(Fraction(text)) raises on text that is not a finite number
+_NOT_A_NUMBER = (ValueError, ZeroDivisionError, OverflowError)
+
 
 def _rational(text: str) -> float:
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+    except _NOT_A_NUMBER:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
 
 
@@ -51,7 +54,7 @@ def _axis(text: str) -> np.ndarray:
                 geom = n.endswith("g")
                 count = int(n[:-1] if geom else n)
                 lo, hi = float(Fraction(lo)), float(Fraction(hi))
-            except ValueError:
+            except _NOT_A_NUMBER:
                 raise argparse.ArgumentTypeError(
                     f"bad sweep {tok!r}; want lo:hi:n or lo:hi:ng")
             vals.extend(np.geomspace(lo, hi, count) if geom
@@ -220,8 +223,13 @@ def _test_function(spec: str, alpha: float):
     if spec == "power-tower":
         return TestFunction.power_tower()
     if spec.startswith("stretched:"):
-        return TestFunction.stretched_exp(
-            float(Fraction(spec.split(":", 1)[1])), alpha)
+        text = spec.split(":", 1)[1]
+        try:
+            beta = float(Fraction(text))
+        except _NOT_A_NUMBER:
+            raise DomainError(f"stretched:<beta> needs a number, got "
+                              f"beta = {text!r}") from None
+        return TestFunction.stretched_exp(beta, alpha)
     raise DomainError(f"unknown test function {spec!r}; use power-tower "
                       "or stretched:<beta>")
 

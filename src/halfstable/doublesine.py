@@ -58,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivisionByZero, DomainError, HalfstableError, PoleProximity
-from .numerics import panel_nodes
+from .numerics import panel_nodes, vectorized
 
 POLE_RADIUS = 1e-8
 MAX_LADDER_STEPS = 10_000
@@ -245,16 +245,18 @@ def _log_s2_any(z, alpha):
     z = np.asarray(z, dtype=complex)
     lo = 0.5 * alpha  # window [alpha/2, alpha/2 + 1), centred in the strip
     x = z.real
-    k = np.zeros(z.shape, dtype=np.int64)
+    # counted in floats: a far point's count does not fit an int64
+    k = np.zeros(z.shape)
     below = x < lo
-    k[below] = np.ceil(lo - x[below]).astype(np.int64)
+    k[below] = np.ceil(lo - x[below])
     above = x >= lo + 1.0
-    k[above] = -np.floor(x[above] - lo).astype(np.int64)
+    k[above] = -np.floor(x[above] - lo)
     kmax = int(np.max(np.abs(k))) if k.size else 0
     if kmax > MAX_LADDER_STEPS:
         raise DomainError(
             f"point needs {kmax} shifts to reach the evaluation window "
             f"(limit {MAX_LADDER_STEPS})")
+    k = k.astype(np.int64)
     w = z + k
     total = _log_s2_window(w, alpha)
     if kmax:
@@ -296,38 +298,35 @@ def _check_alpha(alpha):
     return alpha
 
 
+@vectorized("z", dtype=complex)
 def log_s2(z, alpha):
     """A logarithm of s2(z; alpha); exp of it is the function value.
 
     The imaginary part is whatever branch the reduction path produces,
     continuous in z along that path but not globally principal.
-    Vectorized: scalar in, scalar out; array in, array out.
+    Vectorized: scalar in, scalar out; array in, array out.  Non-finite
+    z is refused.
     """
     alpha = _check_alpha(alpha)
     _validate_convention(alpha)
-    scalar = np.isscalar(z) or (isinstance(z, (complex, float, int)))
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    _assert_pole_clear(zz, alpha)
+    if not np.all(np.isfinite(z)):
+        raise DomainError("z must be finite")
+    _assert_pole_clear(z, alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = _log_s2_any(zz, alpha)
-    return complex(out[0]) if scalar else out
+        return _log_s2_any(z, alpha)
 
 
+@vectorized("z", dtype=complex)
 def s2(z, alpha):
     """The double sine function itself.  Zeros are returned exactly."""
     res = log_s2(z, alpha)
     with np.errstate(invalid="ignore", over="ignore"):
         out = np.exp(res)
-    if isinstance(out, complex) or np.isscalar(out):
-        if np.isnan(out):  # exp(-inf + i theta) with nan dust
-            out = 0j
-        return complex(out)
-    out = np.asarray(out)
-    bad = np.isnan(out) & np.isinf(np.real(res))
-    out[bad] = 0.0
+    out[np.isnan(out) & np.isinf(res.real)] = 0.0  # exp(-inf + i nan)
     return out
 
 
+@vectorized("y")
 def s2_abs_squared_on_ray(b, c, y, alpha):
     """|s2(b + i alpha (i c + log y) / (2 pi))|^2 for y > 0.
 
@@ -336,17 +335,14 @@ def s2_abs_squared_on_ray(b, c, y, alpha):
     vectorized over y.
     """
     alpha = _check_alpha(alpha)
-    scalar = np.isscalar(y)
-    yy = np.atleast_1d(np.asarray(y, dtype=float))
-    if np.any(yy <= 0):
+    if np.any(y <= 0):
         raise DomainError("y must be positive")
     w = (b - alpha * c / (2 * np.pi)) \
-        + 1j * (alpha * np.log(yy) / (2 * np.pi))
+        + 1j * (alpha * np.log(y) / (2 * np.pi))
     _validate_convention(alpha)
     _assert_pole_clear(w, alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.exp(2.0 * _log_s2_any(w, alpha).real)
-    return float(val[0]) if scalar else val
+        return np.exp(2.0 * _log_s2_any(w, alpha).real)
 
 
 def q_pochhammer(a, q, n):

@@ -10,9 +10,10 @@ everything reduces to the single profile
     G(x) = int_0^inf e^(-z x) z^(alpha rho/2 - 1/2)
            |s2(1 + alpha + alpha rho_hat/2 + i alpha log(z)/(2 pi))|^2 dz,
 
-with the co-eigenfunction (dual) profile obtained by swapping rho and
-rho_hat.  G is completely monotone; F is bounded iff rho >= 1/2 and
-O(x^(alpha rho_hat)) at the origin.
+G is completely monotone; F is bounded iff rho >= 1/2 and
+O(x^(alpha rho_hat)) at the origin.  The co-eigenfunction F_hat is F at
+the dual parameters (rho and rho_hat swapped), so the single evaluator
+``_Kernel`` serves both and holds the only copy of the oscillatory part.
 
 Closed forms implemented here:
 
@@ -50,7 +51,7 @@ from .model import DoneyClass, StableParams, detect_doney
 from .numerics import (IntegrandProfile, QuadratureResult,
                        integrate_finite_singular, integrate_interval,
                        integrate_oscillatory_decaying,
-                       integrate_semi_infinite)
+                       integrate_semi_infinite, vectorized)
 from .profiles import ray_profile
 from .wienerhopf import rotated_sup_density
 
@@ -66,11 +67,6 @@ class EigenFn:
         if self.direction not in ("primal", "dual"):
             raise DomainError(f"direction must be primal/dual, "
                               f"got {self.direction!r}")
-
-    @property
-    def rho_eff(self) -> float:
-        return self.params.rho if self.direction == "primal" \
-            else self.params.rho_hat
 
     @property
     def params_eff(self) -> StableParams:
@@ -100,25 +96,67 @@ def _g_coef(params: StableParams) -> float:
                  * s2(-params.alpha * params.rho_hat, params.alpha).real)
 
 
+class _Kernel:
+    """F at the parameters p: params for F, params.dual() for F_hat.
+
+    ``osc`` is the oscillatory part; ``f_eigen`` adds the exact G to it,
+    a call adds G from the spline of its ray profile.  ``growth`` is the
+    exponential rate cos(pi rho) of F, snapped to 0 below 1e-12 since
+    cos(pi/2) rounds to ~6e-17; ``freq`` is its frequency sin(pi rho).
+    """
+
+    def __init__(self, p: StableParams):
+        self.params = p
+        self.cos_r = np.cos(np.pi * p.rho)
+        self.growth = float(self.cos_r) if self.cos_r > 1e-12 else 0.0
+        self.freq = np.sin(np.pi * p.rho)
+        self.theta0 = 0.5 * np.pi * p.rho * (1.0 - p.alpha * p.rho_hat)
+        self.coef_g = _g_coef(p)
+        self.g_spline = _g_profile(p).interp if self.coef_g != 0.0 else None
+
+    def osc(self, v, deriv=0):
+        """e^(v cos(pi rho)) sin(v sin(pi rho) + theta0), or its
+        derivative in v."""
+        theta = v * self.freq + self.theta0
+        if deriv == 0:
+            return np.exp(v * self.cos_r) * np.sin(theta)
+        return np.exp(v * self.cos_r) * (self.cos_r * np.sin(theta)
+                                         + self.freq * np.cos(theta))
+
+    def __call__(self, v):
+        out = self.osc(v)
+        if self.coef_g == 0.0:
+            return out
+        return out + self.coef_g * self.g_spline(v)
+
+    def damped(self, v, damp):
+        """F(v) * e^(-damp), with the damping folded into the exponent
+        of the oscillatory part so a growing F never overflows."""
+        out = np.exp(v * self.cos_r - damp) \
+            * np.sin(v * self.freq + self.theta0)
+        if self.coef_g == 0.0:
+            return out
+        return out + self.coef_g * self.g_spline(v) * np.exp(-damp)
+
+    def bound(self) -> float:
+        """Crude bound for |F| on the positive axis when F is bounded."""
+        if self.coef_g == 0.0:
+            return 1.0
+        return 1.0 + abs(self.coef_g) * float(g_func(self.params, 0.0))
+
+
+@vectorized("x")
 def f_eigen(fn: EigenFn, x, deriv=0):
     """Eigenfunction profile F (or F_hat); vectorized over x > 0."""
     if deriv not in (0, 1):
         raise DomainError("deriv must be 0 or 1")
-    p = fn.params_eff
-    r = p.rho
-    scalar = np.isscalar(x)
-    xx = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xx < 0):
+    if np.any(x < 0):
         raise DomainError("x must be >= 0")
-    c, s = np.cos(np.pi * r), np.sin(np.pi * r)
-    theta = xx * s + 0.5 * np.pi * r * (1.0 - p.alpha * p.rho_hat)
-    if deriv == 0:
-        osc = np.exp(xx * c) * np.sin(theta)
-    else:
-        osc = np.exp(xx * c) * (c * np.sin(theta) + s * np.cos(theta))
-    cg = _g_coef(p)
-    out = osc if cg == 0.0 else osc + cg * g_func(p, xx, deriv=deriv)
-    return float(out[0]) if scalar else out
+    kern = _Kernel(fn.params_eff)
+    osc = kern.osc(x, deriv)
+    if kern.coef_g == 0.0:
+        return osc
+    return osc + kern.coef_g * g_func(kern.params, x, deriv=deriv)
 
 
 def laplace_f(fn: EigenFn, z):
@@ -198,9 +236,7 @@ def mellin_f_quadrature(fn: EigenFn, z, tol=1e-8) -> QuadratureResult:
     z = complex(z)
     if not (-alpha * rh < z.real < 0.0):
         raise DomainError("Re z outside the Mellin strip")
-
-    c, s = np.cos(np.pi * r), np.sin(np.pi * r)
-    theta0 = 0.5 * np.pi * r * (1.0 - alpha * rh)
+    kern = _Kernel(p)
 
     big_a = 10.0
     # head: int_{-L}^{log A} e^{z u} F(e^u) du; integrand decays like
@@ -212,7 +248,7 @@ def mellin_f_quadrature(fn: EigenFn, z, tol=1e-8) -> QuadratureResult:
     # enters the error estimate analytically.
     rate = z.real + alpha * rh
     low = -(np.log(1.0 / tol) + 12.0) / rate
-    resid = 4e-13 * (1.0 + abs(np.sin(theta0)))
+    resid = 4e-13 * (1.0 + abs(np.sin(kern.theta0)))
     c_small = abs(f_eigen(fn, 1e-3)) / 1e-3 ** (alpha * rh) + 1e-30
     u_star = np.log(resid / c_small) / (alpha * rh)
     low = max(low, u_star)
@@ -224,18 +260,19 @@ def mellin_f_quadrature(fn: EigenFn, z, tol=1e-8) -> QuadratureResult:
         frequency=abs(z.imag) + 2.0)
 
     def osc_part(x):
-        return x ** (z - 1.0) * np.exp(x * c) * np.sin(x * s + theta0)
+        return x ** (z - 1.0) * kern.osc(x)
 
     if r > 0.5:
         tail_osc = integrate_semi_infinite(
             lambda t: osc_part(big_a + t),
-            IntegrandProfile("exponential", rate=-c, frequency=s),
+            IntegrandProfile("exponential", rate=-kern.cos_r,
+                             frequency=kern.freq),
             tol=tol / 3)
     else:
         tail_osc = integrate_oscillatory_decaying(
-            osc_part, 0.0, s, tol=tol / 3, start=big_a)
+            osc_part, 0.0, kern.freq, tol=tol / 3, start=big_a)
 
-    cg = _g_coef(p)
+    cg = kern.coef_g
     if cg != 0.0:
         tail_g = integrate_semi_infinite(
             lambda t: (big_a + t) ** (z - 1.0) * g_func(p, big_a + t),

@@ -23,6 +23,7 @@ from math import gamma as _gamma
 import numpy as np
 
 from .errors import DomainError
+from .numerics import vectorized
 
 DONEY_TOL = 1e-12
 
@@ -98,16 +99,15 @@ def _coerce_params(params):
     return _as_value(alpha), _as_value(rho)
 
 
+@vectorized("z")
 def psi(params, z):
     """Characteristic exponent at real z; vectorized, Psi(-z) = conj Psi(z)."""
     alpha, rho = _coerce_params(params)
-    scalar = np.isscalar(z)
-    zz = np.atleast_1d(np.asarray(z, dtype=float))
-    phase = np.pi * alpha * (0.5 - rho) * np.sign(zz)
-    out = np.abs(zz) ** alpha * np.exp(1j * phase)
-    return complex(out[0]) if scalar else out
+    phase = np.pi * alpha * (0.5 - rho) * np.sign(z)
+    return np.abs(z) ** alpha * np.exp(1j * phase)
 
 
+@vectorized("x")
 def levy_density(params, x):
     """Jump measure density; two-sided power law.
 
@@ -120,12 +120,9 @@ def levy_density(params, x):
                                                                      rho)
     if alpha == 1.0:
         raise DomainError("jump density not exposed at alpha = 1")
-    scalar = np.isscalar(x)
-    xx = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xx == 0):
+    if np.any(x == 0):
         raise DomainError("jump density undefined at x = 0")
-    out = np.where(xx > 0, p.c_plus, p.c_minus) * np.abs(xx) ** (-1.0 - alpha)
-    return float(out[0]) if scalar else out
+    return np.where(x > 0, p.c_plus, p.c_minus) * np.abs(x) ** (-1.0 - alpha)
 
 
 def one_sided_mode(params):

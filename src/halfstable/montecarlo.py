@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError
-from .model import sample_increment
+from .model import _coerce_params, sample_increment
 
 _BLOCK = 8192
 
@@ -73,10 +73,18 @@ def _grid_steps(t: float, dt: float):
     return n_full, 0.0
 
 
-def _block_rngs(seed: int, n_blocks: int, first: int = 0):
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(first + n_blocks)[first:]
-    return [np.random.default_rng(c) for c in children]
+def _blocks(seed: int, n: int, first: int = 0, count: int = None):
+    """Yield (rng, keep) for blocks first, ..., first + count - 1 of n
+    paths; keep is how many of the block's _BLOCK paths are wanted.
+    The default count runs to the last block."""
+    total = -(-n // _BLOCK)
+    if count is None:
+        count = total - first
+    if not 0 <= first <= first + count <= total:
+        raise DomainError("block range outside the configured paths")
+    children = np.random.SeedSequence(seed).spawn(first + count)[first:]
+    for b, child in enumerate(children, start=first):
+        yield np.random.default_rng(child), min(_BLOCK, n - b * _BLOCK)
 
 
 def _sweep_block(params, x, t, cfg, rng, keep):
@@ -111,16 +119,9 @@ def survival_counts(params, x: float, t: float, cfg: PathConfig,
     to a single-process run.
     """
     _check_time(x, t, cfg)
-    total_blocks = -(-cfg.n_paths // _BLOCK)
-    if n_blocks is None:
-        n_blocks = total_blocks - first_block
-    if not 0 <= first_block <= first_block + n_blocks <= total_blocks:
-        raise DomainError("block range outside the configured paths")
     survivors = 0
     n = 0
-    for b, rng in enumerate(_block_rngs(cfg.seed, n_blocks, first_block),
-                            start=first_block):
-        keep = min(_BLOCK, cfg.n_paths - b * _BLOCK)
+    for rng, keep in _blocks(cfg.seed, cfg.n_paths, first_block, n_blocks):
         _, alive = _sweep_block(params, x, t, cfg, rng, keep)
         survivors += int(alive.sum())
         n += keep
@@ -157,11 +158,9 @@ def estimate_density(params, x: float, t: float, bins,
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise DomainError("bins must be a strictly increasing 1-d grid "
                           "of at least two edges")
-    total_blocks = -(-cfg.n_paths // _BLOCK)
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     n = 0
-    for b, rng in enumerate(_block_rngs(cfg.seed, total_blocks)):
-        keep = min(_BLOCK, cfg.n_paths - b * _BLOCK)
+    for rng, keep in _blocks(cfg.seed, cfg.n_paths):
         vals, alive = _sweep_block(params, x, t, cfg, rng, keep)
         ends = np.clip(vals[alive], edges[0], edges[-1])
         idx = np.minimum(np.searchsorted(edges, ends, side="right") - 1,
@@ -185,10 +184,8 @@ def estimate_positivity(params, n: int, seed: int = 0) -> McEstimate:
     if n < 10_000:
         raise DomainError("n below 1e4 says nothing at the accuracy this "
                           "check is for")
-    total_blocks = -(-n // _BLOCK)
     positive = 0
-    for b, rng in enumerate(_block_rngs(seed, total_blocks)):
-        keep = min(_BLOCK, n - b * _BLOCK)
+    for rng, keep in _blocks(seed, n):
         draw = sample_increment(params, 1.0, rng, _BLOCK)
         positive += int(np.count_nonzero(draw[:keep] > 0.0))
     return _binomial(positive, n, _NO_BIAS)
@@ -209,7 +206,7 @@ def richardson_survival(params, x: float, t: float, n_paths: int,
     d1, d2 = sorted((float(dt_pair[0]), float(dt_pair[1])), reverse=True)
     if d1 == d2:
         raise DomainError("dt_pair must hold two distinct steps")
-    alpha = params.alpha if hasattr(params, "alpha") else float(params[0])
+    alpha = _coerce_params(params)[0]
     e1, e2 = d1 ** (1.0 / alpha), d2 ** (1.0 / alpha)
     w = e2 / (e1 - e2)
     p1 = estimate_survival(params, x, t, PathConfig(

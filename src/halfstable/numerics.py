@@ -16,11 +16,14 @@ content.  The two entry points are
 Both return a ``QuadratureResult`` carrying an honest absolute error
 estimate and report budget exhaustion through ``converged=False`` rather
 than raising.  All routines are deterministic: the same inputs produce
-bit-identical outputs.
+bit-identical outputs.  ``vectorized`` is the package's one scalar-in,
+scalar-out rule for functions vectorized over a point argument.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,6 +32,32 @@ import numpy as np
 from .errors import NotIntegrable
 
 DEFAULT_TOL = 1e-10
+
+
+def vectorized(arg, dtype=float):
+    """Scalar in, scalar out at the parameter named ``arg``.
+
+    The body always gets that argument as an array of ``dtype`` with at
+    least one dimension.  A 0-d input (a Python or NumPy scalar, or a
+    0-d array) gets the first entry of the result back as a Python
+    float or complex; any other input gets the array.
+    """
+    def decorate(fn):
+        pos = list(inspect.signature(fn).parameters).index(arg)
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            args = list(args)
+            where, key = (kwargs, arg) if arg in kwargs else (args, pos)
+            x = where[key]
+            where[key] = np.atleast_1d(np.asarray(x, dtype=dtype))
+            out = fn(*args, **kwargs)
+            return out[0].item() if np.ndim(x) == 0 else out
+
+        return wrapper
+
+    return decorate
+
 
 _DECAY_CLASSES = ("super_exponential", "exponential", "power")
 

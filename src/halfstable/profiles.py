@@ -35,26 +35,17 @@ from scipy.special import exp1, gammainc, gammaincc, gamma as _gamma_fn
 
 from .doublesine import s2_abs_squared_on_ray
 from .errors import DomainError
-from .numerics import panel_nodes
+from .numerics import panel_nodes, vectorized
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Master grid in u = log z: [u_lo, u_hi] cut into GL panels.
-
-    The defaults put the power-law tail handoff at e^(-+19), where the
-    O(z^(+-min(1,alpha))) corrections to the coefficient-1 asymptotics
-    are of relative size e^(-19 min(1, alpha)): 5.6e-9 for alpha >= 1,
-    but 2.2e-2 at alpha = 0.2.  alpha >= 1 is the best case for this
-    handoff, and small alpha the worst.
-    """
-    u_lo: float = -19.0
-    u_hi: float = 19.0
-    panel: float = 0.2
-    order: int = 16
-
-
-DEFAULT_GRID = GridSpec()
+# The master grid in u = log z: Gauss-Legendre panels of width 0.2 (16
+# nodes each) on [-19, 19].  The power-law tails take over at z =
+# e^(-+19), where the O(z^(+-min(1,alpha))) corrections to the
+# coefficient-1 asymptotics are of relative size e^(-19 min(1, alpha)):
+# 5.6e-9 for alpha >= 1, but 2.2e-2 at alpha = 0.2.  alpha >= 1 is the
+# best case for this handoff, and small alpha the worst.
+_U_EDGE = 19.0
+_PANEL = 0.2
 
 
 def upper_gamma(a, x):
@@ -121,10 +112,11 @@ class RayProfile:
     vals: np.ndarray    # W(z) at the nodes
     e0: float
     einf: float
-    z_lo: float         # lower edge of quadrature coverage (= e^u_lo)
-    z_hi: float         # upper edge of quadrature coverage (= e^u_hi)
+    z_lo: float         # lower edge of quadrature coverage (= e^-19)
+    z_hi: float         # upper edge of quadrature coverage (= e^19)
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
+    @vectorized("x")
     def laplace(self, x, deriv=0):
         """int_0^inf e^{-z x} (-z)^deriv W(z) dz with analytic tails.
 
@@ -132,23 +124,21 @@ class RayProfile:
         """
         if deriv not in (0, 1):
             raise DomainError("deriv must be 0 or 1")
-        scalar = np.isscalar(x)
-        xx = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(xx < 0):
+        if np.any(x < 0):
             raise DomainError("x must be >= 0")
-        out = np.empty(xx.shape, dtype=float)
-        small = xx * self.z_hi <= _SERIES_EDGE
+        out = np.empty(x.shape, dtype=float)
+        small = x * self.z_hi <= _SERIES_EDGE
         if np.any(small):
-            out[small] = _series(self._moments(deriv), -xx[small])
+            out[small] = _series(self._moments(deriv), -x[small])
         if not np.all(small):
-            xb = xx[~small]
+            xb = x[~small]
             zw = self._zw(deriv)
             # 64 rows at a time keep the exp temporary small
             out[~small] = np.concatenate(
                 [np.exp(-np.outer(xb[i:i + 64], self.z)) @ zw
                  for i in range(0, xb.size, 64)])
-        out += self._low_tail(xx, deriv) + self._high_tail(xx, deriv)
-        return float(out[0]) if scalar else out
+        out += self._low_tail(x, deriv) + self._high_tail(x, deriv)
+        return out
 
     def interp(self, x):
         """laplace(x) (deriv 0) through the profile's cubic spline.
@@ -230,14 +220,14 @@ class RayProfile:
 
 
 @lru_cache(maxsize=64)
-def ray_profile(alpha, b, q, spec: GridSpec = DEFAULT_GRID) -> RayProfile:
+def ray_profile(alpha, b, q) -> RayProfile:
     """Tabulate W(z) = z^q |s2(b + i alpha log z / 2 pi)|^2 on the grid."""
     alpha = float(alpha)
     b = float(b)
     q = float(q)
-    n_panels = int(np.ceil((spec.u_hi - spec.u_lo) / spec.panel))
-    edges = np.linspace(spec.u_lo, spec.u_hi, n_panels + 1)
-    u, du = panel_nodes(edges, spec.order)
+    n_panels = int(np.ceil(2.0 * _U_EDGE / _PANEL))
+    edges = np.linspace(-_U_EDGE, _U_EDGE, n_panels + 1)
+    u, du = panel_nodes(edges)
     z = np.exp(u)
     w = du * z  # dz = z du
     pair = s2_abs_squared_on_ray(b, 0.0, z, alpha)
@@ -245,4 +235,4 @@ def ray_profile(alpha, b, q, spec: GridSpec = DEFAULT_GRID) -> RayProfile:
     e0 = q + b - 0.5 * (1.0 + alpha)
     einf = q + 0.5 * (1.0 + alpha) - b
     return RayProfile(alpha, b, q, z, w, vals, e0, einf,
-                      float(np.exp(spec.u_lo)), float(np.exp(spec.u_hi)))
+                      float(np.exp(-_U_EDGE)), float(np.exp(_U_EDGE)))

@@ -39,18 +39,18 @@ extrapolating.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .doublesine import s2
-from .eigenfunctions import EigenFn, _g_coef, _g_profile, f_eigen, g_func
+from .eigenfunctions import EigenFn, _Kernel, f_eigen
 from .errors import BudgetExceeded, DomainError, NonConvergence
 from .model import StableParams
 from .numerics import (integrate_interval, integrate_oscillatory_decaying,
-                       panel_nodes)
+                       panel_nodes, vectorized)
 
 _TWO_OVER_PI = 2.0 / np.pi
 
@@ -65,6 +65,10 @@ class SpectralConfig:
     """
 
     tol: float = 1e-8
+
+    def __post_init__(self):
+        if not 0.0 < self.tol < 1.0:
+            raise DomainError(f"tol must lie in (0, 1), got {self.tol}")
 
 
 _DEFAULT_CFG = SpectralConfig()
@@ -211,11 +215,12 @@ def _panel_grid(b: float, freq: float, n_min: int):
     width = b / n_min
     if freq > 0:
         width = min(width, 2.0 * np.pi / freq)
-    k = int(np.ceil(b / width))
-    if k > 120_000:
+    k = np.ceil(b / width)  # inf when width underflows
+    if not k <= 120_000:
         raise BudgetExceeded(
-            f"oscillation grid would need {k} panels; narrow the "
+            f"oscillation grid would need {k:.0f} panels; narrow the "
             "frequency range or raise the tolerance")
+    k = int(k)
     uni = np.linspace(b / k, b, k)
     geo = uni[0] * 2.0 ** (-np.arange(54, 0, -1, dtype=float))
     return panel_nodes(np.concatenate((geo, uni)))
@@ -246,54 +251,6 @@ def _chunked_dot(kernel, a, nodes, row):
                            for i in range(0, a.size, 64)])
 
 
-class _FastEigen:
-    """Vectorized F evaluation: direct oscillatory part (an exp and a
-    sin per point) plus G from the spline its ray profile keeps."""
-
-    def __init__(self, fn: EigenFn):
-        p = fn.params_eff
-        self.params = p
-        alpha, r, rh = p.alpha, p.rho, p.rho_hat
-        self.cos_r = np.cos(np.pi * r)
-        self.sin_r = np.sin(np.pi * r)
-        self.theta0 = 0.5 * np.pi * r * (1.0 - alpha * rh)
-        self.coef_g = _g_coef(p)
-        self.g_spline = _g_profile(p).interp if self.coef_g != 0.0 else None
-
-    def __call__(self, v):
-        v = np.asarray(v, dtype=float)
-        out = np.exp(v * self.cos_r) * np.sin(v * self.sin_r + self.theta0)
-        if self.coef_g == 0.0:
-            return out
-        return out + self.coef_g * self.g_spline(v)
-
-    def damped(self, v, damp):
-        """F(v) * e^(-damp), with the damping folded into the exponent
-        of the oscillatory part so a growing F never overflows."""
-        v = np.asarray(v, dtype=float)
-        out = np.exp(v * self.cos_r - damp) \
-            * np.sin(v * self.sin_r + self.theta0)
-        if self.coef_g == 0.0:
-            return out
-        return out + self.coef_g * self.g_spline(v) * np.exp(-damp)
-
-
-def _growth_rate(params: StableParams, direction: str) -> float:
-    """Exponential growth rate per unit argument of F (0 when bounded).
-
-    cos(pi/2) rounds to ~6e-17 rather than 0, so rates below 1e-12 are
-    snapped to zero to keep rho = 1/2 on the bounded-kernel path.
-    """
-    r = params.rho if direction == "primal" else params.rho_hat
-    rate = np.cos(np.pi * r)
-    return float(rate) if rate > 1e-12 else 0.0
-
-
-def _freq_rate(params: StableParams, direction: str) -> float:
-    r = params.rho if direction == "primal" else params.rho_hat
-    return np.sin(np.pi * r)
-
-
 def _check_defined(params: StableParams, need: str):
     alpha, r = params.alpha, params.rho
     if need == "survival" and not (alpha > 1.0 or r >= 0.5 - 1e-12):
@@ -305,13 +262,6 @@ def _check_defined(params: StableParams, need: str):
     if need == "diagonalization" and r < 0.5 - 1e-12:
         raise DomainError("the semigroup diagonalization requires "
                           "rho >= 1/2")
-
-
-def _f_bound(fe: _FastEigen) -> float:
-    """Crude bound for |F| on the positive axis when F is bounded."""
-    if fe.coef_g == 0.0:
-        return 1.0
-    return 1.0 + abs(fe.coef_g) * float(g_func(fe.params, 0.0))
 
 
 def survival(params: StableParams, x: float, t: float,
@@ -332,17 +282,15 @@ def survival(params: StableParams, x: float, t: float,
         raise NonConvergence(
             "the lower limit of the lambda integral underflows at "
             f"alpha rho_hat = {alpha * rh:.3g}")
-    fe = _FastEigen(EigenFn(params))
-    lam = _cutoff(alpha, t, x * _growth_rate(params, "primal"), cfg.tol,
-                  _f_bound(fe))
+    fe = _Kernel(params)
+    lam = _cutoff(alpha, t, x * fe.growth, cfg.tol, fe.bound())
     s_hi = np.log(lam)
 
     def integrand(s):
         return np.exp(-t * np.exp(alpha * s)) * fe(x * np.exp(s))
 
     res = integrate_interval(integrand, s_lo, s_hi, tol=cfg.tol / 3.0,
-                             frequency=lam * x * _freq_rate(params,
-                                                            "primal"))
+                             frequency=lam * x * fe.freq)
     if not res.converged:
         raise NonConvergence(
             f"survival quadrature error estimate {res.abs_error_estimate:.2e}"
@@ -386,7 +334,7 @@ class _HeatKernel:
     the product stays small under e^(-t lam^alpha), so evaluating the
     factors naively overflows.  The Boltzmann weight is therefore split
     between the factors in proportion to their growth and applied
-    inside the exponent (_FastEigen.damped).  That fixes overflow but
+    inside the exponent (_Kernel.damped).  That fixes overflow but
     not cancellation: the oscillatory integrand still peaks at
     e^(_cancellation_cap) while the density is O(1), so construction
     refuses ranges where that exceeds what doubles can cancel.
@@ -394,11 +342,10 @@ class _HeatKernel:
 
     def __init__(self, params: StableParams, x: float, t: float,
                  ymax: float, cfg: SpectralConfig):
-        self.fe_dual = _FastEigen(EigenFn(params, direction="dual"))
-        fe = _FastEigen(EigenFn(params))
-        g_primal = x * _growth_rate(params, "primal")
-        g_dual = ymax * _growth_rate(params, "dual")
-        growth = g_primal + g_dual
+        self.fe_dual = _Kernel(params.dual())
+        fe = _Kernel(params)
+        g_dual = ymax * self.fe_dual.growth
+        growth = x * fe.growth + g_dual
         cap = _cancellation_cap(params.alpha, t, growth)
         if cap > _CANCEL_CAP:
             raise DomainError(
@@ -408,9 +355,8 @@ class _HeatKernel:
                 "dominated, ~ y^-(1+alpha), not spectrally resolvable here)")
         w_dual = g_dual / growth if growth > 0 else 0.5
         lam = _cutoff(params.alpha, t, growth, cfg.tol,
-                      _f_bound(fe) * _f_bound(self.fe_dual))
-        freq = x * _freq_rate(params, "primal") \
-            + ymax * _freq_rate(params, "dual")
+                      fe.bound() * self.fe_dual.bound())
+        freq = x * fe.freq + ymax * self.fe_dual.freq
         self._grids = _grid_pair(lam, freq, lambda nodes, wts: (
             _TWO_OVER_PI * wts * fe.damped(
                 x * nodes, (1.0 - w_dual) * (t * nodes ** params.alpha))))
@@ -420,7 +366,6 @@ class _HeatKernel:
     def _dot(self, y, which):
         nodes, row = self._grids[which]
         damp = self._damps[which][None, :]
-        y = np.atleast_1d(np.asarray(y, dtype=float))
         return _chunked_dot(lambda v: self.fe_dual.damped(v, damp),
                             y, nodes, row)
 
@@ -433,6 +378,7 @@ class _HeatKernel:
         return fine, _gap(coarse, fine)
 
 
+@vectorized("y")
 def transition_density(params: StableParams, x: float, y, t: float,
                        cfg: SpectralConfig = _DEFAULT_CFG):
     """Density of the killed process at time t, started at x.
@@ -444,12 +390,10 @@ def transition_density(params: StableParams, x: float, y, t: float,
     _check_defined(params, "density")
     if x <= 0 or t <= 0:
         raise DomainError("x and t must be positive")
-    scalar = np.isscalar(y)
-    yy = np.atleast_1d(np.asarray(y, dtype=float))
-    if np.any(yy <= 0):
+    if np.any(y <= 0):
         raise DomainError("y must be positive")
-    kern = _HeatKernel(params, x, t, float(yy.max()), cfg)
-    vals, est = kern.eval_with_est(yy)
+    kern = _HeatKernel(params, x, t, float(y.max()), cfg)
+    vals, est = kern.eval_with_est(y)
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     # est is the coarse-vs-fine gap, dominated by the coarse grid; the
     # returned fine values are far better, so this gate only catches a
@@ -458,7 +402,7 @@ def transition_density(params: StableParams, x: float, y, t: float,
     if est > max(200.0 * cfg.tol * scale, 100.0 * cfg.tol):
         raise NonConvergence(
             f"density grid refinement changed the result by {est:.2e}")
-    return float(vals[0]) if scalar else vals
+    return vals
 
 
 class _TransformKernel:
@@ -469,7 +413,7 @@ class _TransformKernel:
     real-axis integral hides a cancellation of relative size
     exp(growth * lam), which double precision cannot deliver beyond
     lam of a few tens.  In that regime the oscillatory term is instead
-    integrated on the ray arg y = phi with cos(pi * rho_eff + phi) < 0,
+    integrated on the ray arg y = phi with cos(pi * rho + phi) < 0,
     where the integrand is uniformly bounded and decays; the completely
     monotone remainder keeps its well-behaved real-axis grid.  The
     rotation needs the input analytic on the sector (with decay beating
@@ -477,23 +421,22 @@ class _TransformKernel:
     sector_half_angle check.
     """
 
-    def __init__(self, params: StableParams, direction: str,
-                 u: TestFunction, lam_hi: float, cfg: SpectralConfig):
-        self.fe = _FastEigen(EigenFn(params, direction=direction))
-        growth = lam_hi * _growth_rate(params, direction)
-        self._rotated = growth > 0.0
+    def __init__(self, fe: _Kernel, u: TestFunction, lam_hi: float,
+                 cfg: SpectralConfig):
+        self.fe = fe
+        self._rotated = lam_hi * fe.growth > 0.0
         log_floor = np.log(cfg.tol) - 12.0
         if not self._rotated:
             self._grids = _grid_pair(u.support_end(log_floor),
-                                     lam_hi * _freq_rate(params, direction),
+                                     lam_hi * fe.freq,
                                      lambda nodes, wts: wts * u(nodes))
             return
         if u.class_tag != "x_alpha_member":
             raise DomainError(
                 "the kernel grows exponentially here; only class members "
                 "can be integrated against it")
-        p_eff = self.fe.params
-        phi_min = np.pi * (0.5 - p_eff.rho)
+        rho = fe.params.rho
+        phi_min = np.pi * (0.5 - rho)
         if u.sector_half_angle <= phi_min + 0.05:
             raise DomainError(
                 "rotating around the growing kernel needs analyticity on "
@@ -501,13 +444,13 @@ class _TransformKernel:
                 f"declares {u.sector_half_angle:.3f}")
         phi = phi_min + min(0.35, 0.5 * (u.sector_half_angle - phi_min))
         self._phase = np.exp(1j * phi)
-        self._ray = np.exp(1j * (np.pi * p_eff.rho + phi))
-        self._theta = np.exp(1j * self.fe.theta0)
+        self._ray = np.exp(1j * (np.pi * rho + phi))
+        self._theta = np.exp(1j * fe.theta0)
         self._k_grids = _grid_pair(
             self._ray_support(u, self._phase, log_floor),
             lam_hi * abs(self._ray.imag),
             lambda nodes, wts: wts * u(nodes * self._phase))
-        if self.fe.coef_g != 0.0:
+        if fe.coef_g != 0.0:
             self._m_grids = _grid_pair(u.support_end(log_floor), 0.0,
                                        lambda nodes, wts: wts * u(nodes))
 
@@ -525,7 +468,6 @@ class _TransformKernel:
             "may grow along it despite its declared sector")
 
     def _dot(self, lams, which):
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
         if not self._rotated:
             nodes, row = self._grids[which]
             return np.sqrt(_TWO_OVER_PI) * _chunked_dot(self.fe, lams, nodes,
@@ -550,21 +492,20 @@ class _TransformKernel:
         return _gap(self._dot(lams, 0), fine)
 
 
-def _pi_common(params, u, lam, cfg, direction):
+@vectorized("lam")
+def _pi_common(fe, u, lam, cfg):
     if not isinstance(u, TestFunction):
         raise DomainError("u must be a TestFunction (wrap tables with "
                           "TestFunction.from_table)")
-    scalar = np.isscalar(lam)
-    ll = np.atleast_1d(np.asarray(lam, dtype=float))
-    if np.any(ll <= 0):
+    if np.any(lam <= 0):
         raise DomainError("lam must be positive")
-    kern = _TransformKernel(params, direction, u, float(ll.max()), cfg)
-    vals = kern(ll)
-    est = kern.est_at(ll[:: max(1, ll.size // 16)])
+    kern = _TransformKernel(fe, u, float(lam.max()), cfg)
+    vals = kern(lam)
+    est = kern.est_at(lam[:: max(1, lam.size // 16)])
     if est > max(50.0 * cfg.tol, 1e-11):
         raise NonConvergence(
             f"transform grid refinement changed the result by {est:.2e}")
-    return float(vals[0]) if scalar else vals
+    return vals
 
 
 def pi_transform(params: StableParams, u: TestFunction, lam,
@@ -572,7 +513,7 @@ def pi_transform(params: StableParams, u: TestFunction, lam,
     """Generalized sine transform with kernel F(lam x); vectorized over
     lam.  For rho < 1/2 the kernel grows, so only class members are
     accepted there."""
-    return _pi_common(params, u, lam, cfg, "primal")
+    return _pi_common(_Kernel(params), u, lam, cfg)
 
 
 def pi_hat_transform(params: StableParams, u: TestFunction, lam,
@@ -581,7 +522,7 @@ def pi_hat_transform(params: StableParams, u: TestFunction, lam,
     (the dual kernel grows whenever rho > 1/2)."""
     if u.class_tag != "x_alpha_member":
         raise DomainError("pi_hat_transform needs an x_alpha_member input")
-    return _pi_common(params, u, lam, cfg, "dual")
+    return _pi_common(_Kernel(params.dual()), u, lam, cfg)
 
 
 def semigroup_apply(params: StableParams, u: TestFunction, t: float,
@@ -597,9 +538,9 @@ def semigroup_apply(params: StableParams, u: TestFunction, t: float,
     if np.any(xs <= 0) or t <= 0:
         raise DomainError("x and t must be positive")
     alpha = params.alpha
-    fe = _FastEigen(EigenFn(params))
-    lam_cut = _cutoff(alpha, t, 0.0, cfg.tol, _f_bound(fe))
-    kern = _TransformKernel(params, "dual", u, lam_cut, cfg)
+    fe = _Kernel(params)
+    lam_cut = _cutoff(alpha, t, 0.0, cfg.tol, fe.bound())
+    kern = _TransformKernel(_Kernel(params.dual()), u, lam_cut, cfg)
     probes = np.geomspace(lam_cut * 1e-3, lam_cut, 24)
     inner_est = kern.est_at(probes) * lam_cut
 
@@ -611,14 +552,14 @@ def semigroup_apply(params: StableParams, u: TestFunction, t: float,
 
         res = integrate_interval(integrand, lam_cut * 1e-8, lam_cut,
                                  tol=cfg.tol / 3.0,
-                                 frequency=x0 * _freq_rate(params, "primal"))
+                                 frequency=x0 * fe.freq)
         if not res.converged or inner_est > 100.0 * cfg.tol:
             raise NonConvergence(
                 f"semigroup quadrature error "
                 f"~{res.abs_error_estimate + inner_est:.2e}")
         return float(np.sqrt(_TWO_OVER_PI) * res.value)
 
-    freq = float(xs.max()) * _freq_rate(params, "primal")
+    freq = float(xs.max()) * fe.freq
     grids = _grid_pair(lam_cut, freq, lambda nodes, wts: (
         wts * np.exp(-t * nodes ** alpha) * kern(nodes)))
     coarse, fine = (_chunked_dot(fe, xs, nodes, row) for nodes, row in grids)
@@ -640,11 +581,11 @@ def pi_round_trip(params: StableParams, u: TestFunction, x: float,
                           "input")
     if x <= 0:
         raise DomainError("x must be positive")
-    fe = _FastEigen(EigenFn(params))
-    freq = x * _freq_rate(params, "primal")
+    fe = _Kernel(params)
+    freq = x * fe.freq
     lam0 = 30.0
     lam_hi = lam0 + 50.0 * np.pi / freq
-    kern = _TransformKernel(params, "dual", u, lam_hi * 1.02, cfg)
+    kern = _TransformKernel(_Kernel(params.dual()), u, lam_hi * 1.02, cfg)
 
     def integrand(lams):
         return fe(x * lams) * kern(lams)
@@ -671,8 +612,8 @@ def eigen_check(params: StableParams, lam: float, t: float, x: float,
         raise DomainError("eigen_check requires lam >= 0.1")
     if x <= 0 or t <= 0:
         raise DomainError("x and t must be positive")
-    fe = _FastEigen(EigenFn(params))
-    freq = lam * _freq_rate(params, "primal")
+    fe = _Kernel(params)
+    freq = lam * fe.freq
     y0 = 25.0 + 4.0 / lam
     y_hi = y0 + 52.0 * np.pi / freq
     kern = _HeatKernel(params, x, t, y_hi * 1.02, cfg)

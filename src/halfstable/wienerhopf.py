@@ -50,7 +50,7 @@ import numpy as np
 from .doublesine import SurfacePoint, log_s2, s2, s2_abs_squared_on_ray
 from .errors import DomainError
 from .model import StableParams, psi
-from .numerics import panel_nodes
+from .numerics import panel_nodes, vectorized
 from .profiles import ray_profile
 
 _ATOM_EPS = 1e-14  # |alpha rho - 1| below this means a degenerate mixture
@@ -137,6 +137,7 @@ def _require_mixture(p: StableParams):
             "to a unit atom (the density is exp(-x)); no density exists")
 
 
+@vectorized("u")
 def mu_density(params: StableParams, u):
     """Mixing density of the supremum's exponential representation.
 
@@ -145,15 +146,12 @@ def mu_density(params: StableParams, u):
     """
     _require_mixture(params)
     alpha, r, rh = params.alpha, params.rho, params.rho_hat
-    scalar = np.isscalar(u)
-    uu = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(uu <= 0):
+    if np.any(u <= 0):
         raise DomainError("u must be positive")
-    pair = s2_abs_squared_on_ray(0.5 + alpha + 0.5 * alpha * r, 0.0, uu,
+    pair = s2_abs_squared_on_ray(0.5 + alpha + 0.5 * alpha * r, 0.0, u,
                                  alpha)
-    out = (np.sin(np.pi * alpha * r) / np.pi) * uu ** (0.5 * alpha * rh) \
+    return (np.sin(np.pi * alpha * r) / np.pi) * u ** (0.5 * alpha * rh) \
         * pair
-    return float(out[0]) if scalar else out
 
 
 def mu_on_surface(params: StableParams, point: SurfacePoint):
@@ -190,6 +188,7 @@ def _mu_profile(params: StableParams):
                        0.5 * params.alpha * params.rho_hat)
 
 
+@vectorized("x")
 def sup_density(params: StableParams, x):
     """Density of the supremum at an exponential time, on (0, inf).
 
@@ -199,16 +198,12 @@ def sup_density(params: StableParams, x):
     limit; for alpha rho < 1 it behaves like x^(alpha rho - 1).
     """
     alpha, r = params.alpha, params.rho
-    scalar = np.isscalar(x)
-    xx = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xx < 0):
+    if np.any(x < 0):
         raise DomainError("x must be >= 0")
     if abs(alpha * r - 1.0) < _ATOM_EPS:
-        out = np.exp(-xx)
-        return float(out[0]) if scalar else out
-    prof = _mu_profile(params)
-    out = (np.sin(np.pi * alpha * r) / np.pi) * prof.laplace(xx)
-    return float(out[0]) if scalar else out
+        return np.exp(-x)
+    return (np.sin(np.pi * alpha * r) / np.pi) \
+        * _mu_profile(params).laplace(x)
 
 
 def inf_density(params: StableParams, x):
@@ -216,6 +211,7 @@ def inf_density(params: StableParams, x):
     return sup_density(params.dual(), x)
 
 
+@vectorized("x")
 def rotated_sup_density(params: StableParams, x, sign=+1):
     """e^(sign i pi/alpha) f_sup(e^(sign i pi/alpha) x) for x > 0, via
     the residue term plus the integral term -c (e^(sign i pi rho)
@@ -233,25 +229,23 @@ def rotated_sup_density(params: StableParams, x, sign=+1):
     alpha, r, rh = params.alpha, params.rho, params.rho_hat
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    scalar = np.isscalar(x)
-    xx = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xx <= 0):
+    if np.any(x <= 0):
         raise DomainError("x must be positive")
-    if np.any(xx > 50.0):
+    if np.any(x > 50.0):
         raise DomainError("rotated representation supported for x <= 50")
 
     res_coef = -sign * 1j * (s2(alpha * r, alpha) / np.sqrt(alpha)) \
         * np.exp(sign * 1j * np.pi * (0.5 * alpha * r * rh + 1.5 * r))
     rot = np.exp(sign * 1j * np.pi * r)
-    out = res_coef * np.exp(-xx * rot)
+    out = res_coef * np.exp(-x * rot)
 
     c = np.sin(np.pi * alpha * r) / np.pi
     if abs(c) > 1e-15:
         # imported here: eigenfunctions imports this module
         from .eigenfunctions import _g_profile
         prof = _g_profile(params.dual())
-        out -= c * (rot * prof.laplace(xx, deriv=1) + prof.laplace(xx))
-    return complex(out[0]) if scalar else out
+        out -= c * (rot * prof.laplace(x, deriv=1) + prof.laplace(x))
+    return out
 
 
 def h_q_density(params: StableParams, q, x, y, z):

@@ -186,3 +186,26 @@ def test_verify_builds_each_profile_once(capsys):
     # the rotated density reads the dual G profile instead of its own
     assert ray_profile.cache_info().misses == 3
     assert "FAIL" not in capsys.readouterr().out
+
+
+_A = ("--alpha", "1.5", "--rho", "0.55")
+_EDGE_ARGVS = [
+    ("s2", "--alpha", "0.5", "--z", "nan"),
+    ("s2", "--alpha", "1e-300", "--z", "0.5"),
+    ("s2", "--alpha", "1e400", "--z", "1"),
+    ("phi", *_A, "--z", "nan"),
+    ("eigenfn", *_A, "--x", "1e-300"),
+    ("survival", *_A, "--x", "1", "--t", "1", "--tol", "-1"),
+    ("density", *_A, "--x", "1", "--y", "1", "--t", "1", "--tol", "nan"),
+    ("density", *_A, "--x", "1", "--y", "1e300", "--t", "1"),
+    ("transform", *_A, "--function", "stretched:x", "--lam", "1"),
+    ("transform", *_A, "--function", "stretched:1e400", "--lam", "1"),
+]
+
+
+def test_edge_inputs_keep_the_exit_code_contract():
+    # a subprocess each, so no pytest warning filter applies
+    for argv in _EDGE_ARGVS:
+        res = run_cli(*argv)
+        assert res.returncode in (0, 2, 3, 4, 5), (argv, res.stderr)
+        assert "Traceback" not in res.stderr, (argv, res.stderr)
