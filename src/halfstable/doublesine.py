@@ -44,6 +44,21 @@ by floor(|Im z|), and each group's grid is sized by its own points, so
 a point's cost is set by its own |Im z| and not by the largest one in
 its batch.
 
+Moduli on a vertical line Re z = x0 of the window have a cheaper form.
+There Q(s) = sinh(a s/2) / (2 sinh(s/2) sinh(alpha s/2)), so Re Q =
+cos(ys) D(s) with D(s) = sinh(a0 s/2) / (2 sinh(s/2) sinh(alpha s/2)),
+a0 = 1 + alpha - 2 x0, y = Im z.  Writing D = a0/(alpha s) + s E(s) and
+using int_0^inf (cos ys - (1+s) e^-s) / s^2 ds = 1 - pi|y|/2 gives
+
+    log|s2(x0 + iy)| = (pi a0 / 2 alpha) |y| - int_0^inf E(s) cos(ys) ds,
+
+exactly, with E real, even and fixed by the line.  The leading term is
+the real part of the far-field closed form.  ``s2_abs_squared_on_ray``
+tabulates E once per line (its series in s^2 near 0, the closed tail
+-a0/(alpha s^2) past s = 38/min(x0, 1 + alpha - x0, 1)), so each point
+costs one row of a cosine dot; the complex ``log_s2`` keeps the window
+quadrature.
+
 The overall sign of the integral representation is the one thing the
 algebra does not pin down cheaply, so every alpha is validated once
 against the closed-form values s2(1) = sqrt(alpha) and s2(1/2) =
@@ -52,10 +67,12 @@ sqrt(2); a disagreement raises instead of silently flipping the sign.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import sici
 
 from .errors import DivisionByZero, DomainError, HalfstableError, PoleProximity
 from .numerics import panel_nodes, vectorized
@@ -65,6 +82,9 @@ MAX_LADDER_STEPS = 10_000
 # The closed form differs from log s2 by O(e^{-2 pi |Im w| / alpha}) for
 # alpha >= 1; from |Im w| = 5.9 alpha on that is below 8e-17.
 FAR_FIELD_C = 5.9
+# The line weight E is summed as its series in s^2 below s = 0.05/alpha.
+_LINE_SERIES_S = 0.05
+_LINE_SERIES_TERMS = 6
 
 
 @dataclass(frozen=True)
@@ -326,23 +346,128 @@ def s2(z, alpha):
     return out
 
 
+def _sinh_series(c, n):
+    """The first n coefficients, in t = s^2, of sinh(c s/2) / (c s/2)."""
+    k = np.arange(n)
+    return (0.25 * c * c) ** k / np.array(
+        [math.factorial(2 * j + 1) for j in k], dtype=float)
+
+
+def _line_weight(s, x0, alpha):
+    """E(s) = [D(s) - a0/(alpha s)] / s on the line Re z = x0 (alpha >= 1).
+
+    D(s) = sinh(a0 s/2) / (2 sinh(s/2) sinh(alpha s/2)), a0 = 1 + alpha
+    - 2 x0, is evaluated in the overflow-free exponential form of Q.
+    Below s = 0.05/alpha, where D - a0/(alpha s) cancels, E is the series
+    (a0/alpha) sum_n r_n s^(2n-2), with r_n the coefficients of
+    sinh(a0 s/2)/(a0 s/2) divided by the two denominator series; the
+    first dropped term is below 1e-20 relative.
+    """
+    a0 = 1.0 + alpha - 2.0 * x0
+    out = np.empty_like(s)
+    small = s < _LINE_SERIES_S / alpha
+    sb = s[~small]
+    d = -np.exp(-x0 * sb) * np.expm1(-a0 * sb) \
+        / (np.expm1(-sb) * np.expm1(-alpha * sb))
+    out[~small] = (d - a0 / (alpha * sb)) / sb
+    n = _LINE_SERIES_TERMS + 1
+    num = _sinh_series(a0, n)
+    den = np.convolve(_sinh_series(1.0, n), _sinh_series(alpha, n))[:n]
+    r = num.copy()  # den[0] = 1, so r[0] = num[0]
+    for m in range(1, n):
+        r[m] -= den[1:m + 1] @ r[m - 1::-1]
+    out[small] = (a0 / alpha) * np.polyval(r[:0:-1], s[small] ** 2)
+    return out
+
+
+def _line_transform(x0, y, alpha):
+    """int_0^inf E(s) cos(y s) ds for y >= 0 on the line Re z = x0.
+
+    E is tabulated once on Gauss-Legendre panels over [0, T], T = 38 /
+    min(x0, 1 + alpha - x0, 1), each panel at most 10/max(y) wide (so a
+    panel spans under two periods of cos(y s)) and 2/alpha wide (E's
+    nearest poles sit at +-2 pi i / alpha).  Beyond T, D is below e^-38
+    and E = -a0/(alpha s^2), whose cosine integral is closed:
+    int_T^inf cos(ys)/s^2 ds = cos(yT)/T - y (pi/2 - Si(yT)).
+    """
+    a0 = 1.0 + alpha - 2.0 * x0
+    big_t = 38.0 / min(x0, 1.0 + alpha - x0, 1.0)
+    width = min(10.0 / max(float(y.max()), 1e-10), 2.0 / alpha)
+    edges = np.linspace(0.0, big_t, int(np.ceil(big_t / width)) + 1)
+    s, ws = panel_nodes(edges, order=24)
+    we = ws * _line_weight(s, x0, alpha)
+    # row chunks keep the cosine table near 2^18 entries for any batch
+    rows = max(1, (1 << 18) // s.size)
+    body = np.concatenate([np.cos(np.outer(y[i:i + rows], s)) @ we
+                           for i in range(0, y.size, rows)])
+    si, _ = sici(y * big_t)
+    tail = np.cos(y * big_t) / big_t - y * (0.5 * np.pi - si)
+    return body - (a0 / alpha) * tail
+
+
+def _log_abs_s2_line(x, y, alpha):
+    """log|s2(x + i y)| for real x and an array of y >= 0.
+
+    The modular map, then one ladder shift k for the whole line, which
+    depends on x alone; in the window, log|s2| = (pi a0 / 2 alpha) y -
+    int_0^inf E(s) cos(y s) ds, whose integral is dropped (below 8e-17)
+    from y = FAR_FIELD_C alpha on.
+    """
+    if alpha < 1.0:
+        return _log_abs_s2_line(x / alpha, y / alpha, 1.0 / alpha)
+    lo = 0.5 * alpha  # the window [lo, lo + 1) of _log_s2_any
+    k = 0.0
+    if x < lo:
+        k = np.ceil(lo - x)
+    elif x >= lo + 1.0:
+        k = -np.floor(x - lo)
+    if abs(k) > MAX_LADDER_STEPS:
+        raise DomainError(
+            f"point needs {abs(k):.0f} shifts to reach the evaluation "
+            f"window (limit {MAX_LADDER_STEPS})")
+    k = int(k)
+    x0 = x + k
+    out = (0.5 * np.pi * (1.0 + alpha - 2.0 * x0) / alpha) * y
+    near = y < FAR_FIELD_C * alpha
+    if np.any(near):
+        out[near] -= _line_transform(x0, y[near], alpha)
+    # the real parts of the ladder terms of _log_s2_any
+    base, sign = (x, 1.0) if k > 0 else (x0, -1.0)
+    for j in range(abs(k)):
+        out += sign * _log_2sin((base + j + 1j * y) / alpha).real
+    return out
+
+
 @vectorized("y")
 def s2_abs_squared_on_ray(b, c, y, alpha):
     """|s2(b + i alpha (i c + log y) / (2 pi))|^2 for y > 0.
 
     The displacement shifts the real part by -alpha c / (2 pi) and puts
-    alpha log(y) / (2 pi) on the imaginary axis.  Returns real values;
-    vectorized over y.
+    alpha log(y) / (2 pi) on the imaginary axis, so all points share one
+    vertical line Re w = x.  On it the real part of Q(s) is cos(Im w s)
+    D(s), and with int_0^inf (cos ys - (1+s) e^-s) / s^2 ds = 1 - pi|y|/2
+    the window formula becomes, exactly,
+
+        log|s2(x0 + i y)| = (pi a0 / 2 alpha) |y| - int_0^inf E(s) cos(ys) ds,
+
+        E(s) = [D(s) - a0/(alpha s)] / s,  a0 = 1 + alpha - 2 x0,
+
+    where E is real, even and fixed by the line.  The leading term is the
+    real part of the far-field closed form.  E is tabulated once per call
+    and each distinct |Im w| (|s2| is even in it) costs one row of a
+    cosine dot, instead of a complex window quadrature per point.
+    Returns real values; vectorized over y.
     """
     alpha = _check_alpha(alpha)
     if np.any(y <= 0):
         raise DomainError("y must be positive")
-    w = (b - alpha * c / (2 * np.pi)) \
-        + 1j * (alpha * np.log(y) / (2 * np.pi))
+    x = b - alpha * c / (2 * np.pi)
+    im = alpha * np.log(y) / (2 * np.pi)
     _validate_convention(alpha)
-    _assert_pole_clear(w, alpha)
+    _assert_pole_clear(x + 1j * im, alpha)
+    ys, back = np.unique(np.abs(im), return_inverse=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.exp(2.0 * _log_s2_any(w, alpha).real)
+        return np.exp(2.0 * _log_abs_s2_line(x, ys, alpha))[back]
 
 
 def q_pochhammer(a, q, n):

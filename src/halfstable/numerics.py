@@ -157,7 +157,8 @@ def _initial_edges(a, b, frequency, max_panels=4000):
     length = b - a
     n = max(4, min(16, int(np.ceil(2.0 * length))))
     if frequency > 0:
-        n = max(n, int(np.ceil(length * frequency / 6.0)))
+        # capped before the int conversion: an overflowed frequency is inf
+        n = max(n, int(min(np.ceil(length * frequency / 6.0), max_panels)))
     n = min(n, max_panels)
     return np.linspace(a, b, n + 1)
 

@@ -39,12 +39,15 @@ from .numerics import panel_nodes, vectorized
 
 
 # The master grid in u = log z: Gauss-Legendre panels of width 0.2 (16
-# nodes each) on [-19, 19].  The power-law tails take over at z =
-# e^(-+19), where the O(z^(+-min(1,alpha))) corrections to the
-# coefficient-1 asymptotics are of relative size e^(-19 min(1, alpha)):
-# 5.6e-9 for alpha >= 1, but 2.2e-2 at alpha = 0.2.  alpha >= 1 is the
-# best case for this handoff, and small alpha the worst.
+# nodes each) on [-U, U].  The power-law tails take over at z = e^(-+U),
+# where the O(z^(+-min(1,alpha))) corrections to the coefficient-1
+# asymptotics are of relative size e^(-U min(1, alpha)).  U = 19 for
+# alpha >= 1 bounds that by e^-19 = 5.6e-9.  Below alpha = 1 the same
+# e^-19 still moves survival by up to 1.6e-9 (at (0.6, 0.9)), so there
+# U = 21 / alpha, which bounds it by e^-21 = 7.6e-10 for every alpha and
+# gives 3.7 times the nodes at alpha = 0.3.
 _U_EDGE = 19.0
+_U_EDGE_BELOW_1 = 21.0
 _PANEL = 0.2
 
 
@@ -78,6 +81,7 @@ def upper_gamma(a, x):
 
 
 _SPLINE_LO = 1e-12      # lower edge of the laplace spline
+_SPLINE_HI = 1e12       # its upper edge never grows past this
 _SPLINE_STEP = 0.006    # its node spacing in log x
 _SERIES_EDGE = 1e-3     # x z_hi up to which laplace sums the Taylor series
 _SERIES_TERMS = 6
@@ -101,8 +105,8 @@ class RayProfile:
     M_k = sum w W z^k (times -z for deriv 1) computed once per profile;
     W >= 0 bounds M_k by z_hi^k M_0, so the dropped terms are below
     1.5e-21 M_0.  ``interp`` serves laplace through a cubic spline in
-    log x on [1e-12, hi], step 0.006, built on first use and kept in
-    the profile's memo.
+    log x on [1e-12, hi], hi <= 1e12, step 0.006, built on first use
+    and kept in the profile's memo.
     """
     alpha: float
     b: float
@@ -112,8 +116,8 @@ class RayProfile:
     vals: np.ndarray    # W(z) at the nodes
     e0: float
     einf: float
-    z_lo: float         # lower edge of quadrature coverage (= e^-19)
-    z_hi: float         # upper edge of quadrature coverage (= e^19)
+    z_lo: float         # lower edge of quadrature coverage (= e^-U)
+    z_hi: float         # upper edge of quadrature coverage (= e^U)
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @vectorized("x")
@@ -127,16 +131,12 @@ class RayProfile:
         if np.any(x < 0):
             raise DomainError("x must be >= 0")
         out = np.empty(x.shape, dtype=float)
-        small = x * self.z_hi <= _SERIES_EDGE
+        with np.errstate(over="ignore"):  # x z_hi = inf is not small
+            small = x * self.z_hi <= _SERIES_EDGE
         if np.any(small):
             out[small] = _series(self._moments(deriv), -x[small])
         if not np.all(small):
-            xb = x[~small]
-            zw = self._zw(deriv)
-            # 64 rows at a time keep the exp temporary small
-            out[~small] = np.concatenate(
-                [np.exp(-np.outer(xb[i:i + 64], self.z)) @ zw
-                 for i in range(0, xb.size, 64)])
+            out[~small] = self._grid_dot(x[~small], deriv)
         out += self._low_tail(x, deriv) + self._high_tail(x, deriv)
         return out
 
@@ -144,9 +144,9 @@ class RayProfile:
         """laplace(x) (deriv 0) through the profile's cubic spline.
 
         The spline's upper edge starts at max(64, 1.3 max x) and grows
-        at least 4x whenever a larger argument arrives, so a profile
-        builds it O(log) times in all.  Arguments below 1e-12 take the
-        exact laplace (its series branch).
+        at least 4x whenever a larger argument arrives, but never past
+        1e12, so a profile builds it at most 17 times in all.  Arguments
+        below 1e-12 or above the edge take the exact laplace.
         """
         x = np.asarray(x, dtype=float)
         hi, spline = self._spline(float(x.max(initial=0.0)))
@@ -159,13 +159,26 @@ class RayProfile:
 
     def _spline(self, xmax):
         hi, spline = self._memo.get("spline", (0.0, None))
-        if spline is None or xmax > hi:
-            hi = max(64.0, 4.0 * hi, 1.3 * xmax)
+        if spline is None or (xmax > hi and hi < _SPLINE_HI):
+            hi = min(max(64.0, 4.0 * hi, 1.3 * xmax), _SPLINE_HI)
             n = int(np.log(hi / _SPLINE_LO) / _SPLINE_STEP)
             grid = np.linspace(np.log(_SPLINE_LO), np.log(hi), n)
             spline = CubicSpline(grid, self.laplace(np.exp(grid)))
             self._memo["spline"] = hi, spline
         return hi, spline
+
+    def _grid_dot(self, x, deriv):
+        """sum_k e^{-x z_k} zw_k, 64 entries of x at a time so the exp
+        temporary stays small.  Each block stops at the first node where
+        e^{-x z} is exactly 0 for all its x (x z > 750), so a large x
+        costs only the nodes it sees."""
+        zw = self._zw(deriv)
+        out = np.empty(x.shape)
+        for i in range(0, x.size, 64):
+            xb = x[i:i + 64]
+            m = np.searchsorted(self.z, 750.0 / xb.min())
+            out[i:i + 64] = np.exp(-np.outer(xb, self.z[:m])) @ zw[:m]
+        return out
 
     def _zw(self, deriv):
         wv = self.w * self.vals
@@ -208,7 +221,8 @@ class RayProfile:
         pos = np.asarray(x) > 0
         if np.any(pos):
             xp = np.asarray(x)[pos]
-            out[pos] = xp ** (-a) * upper_gamma(a, zhi * xp)
+            with np.errstate(over="ignore"):  # Gamma(a, inf) = 0
+                out[pos] = xp ** (-a) * upper_gamma(a, zhi * xp)
         if np.any(~pos):
             if a >= 0:
                 raise DomainError(
@@ -225,8 +239,9 @@ def ray_profile(alpha, b, q) -> RayProfile:
     alpha = float(alpha)
     b = float(b)
     q = float(q)
-    n_panels = int(np.ceil(2.0 * _U_EDGE / _PANEL))
-    edges = np.linspace(-_U_EDGE, _U_EDGE, n_panels + 1)
+    u_edge = _U_EDGE if alpha >= 1.0 else _U_EDGE_BELOW_1 / alpha
+    n_panels = int(np.ceil(2.0 * u_edge / _PANEL))
+    edges = np.linspace(-u_edge, u_edge, n_panels + 1)
     u, du = panel_nodes(edges)
     z = np.exp(u)
     w = du * z  # dz = z du
@@ -235,4 +250,4 @@ def ray_profile(alpha, b, q) -> RayProfile:
     e0 = q + b - 0.5 * (1.0 + alpha)
     einf = q + 0.5 * (1.0 + alpha) - b
     return RayProfile(alpha, b, q, z, w, vals, e0, einf,
-                      float(np.exp(-_U_EDGE)), float(np.exp(_U_EDGE)))
+                      float(np.exp(-u_edge)), float(np.exp(u_edge)))

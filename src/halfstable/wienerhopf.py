@@ -256,6 +256,9 @@ def h_q_density(params: StableParams, q, x, y, z):
     """
     if q <= 0:
         raise DomainError("q must be positive")
+    # written so that a nan q fails the comparison too
+    if not 2.0 * np.log(q) / params.alpha < np.log(np.finfo(float).max):
+        raise DomainError(f"q = {q:g} is too large: q^(2/alpha) overflows")
     if x <= 0:
         raise DomainError("x must be positive")
     zz = np.asarray(z, dtype=float)

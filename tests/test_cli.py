@@ -200,12 +200,22 @@ _EDGE_ARGVS = [
     ("density", *_A, "--x", "1", "--y", "1e300", "--t", "1"),
     ("transform", *_A, "--function", "stretched:x", "--lam", "1"),
     ("transform", *_A, "--function", "stretched:1e400", "--lam", "1"),
+    ("survival", *_A, "--x", "1e300", "--t", "1"),
+    ("survival", *_A, "--x", "1", "--t", "1e-300"),
+    ("survival", *_A, "--x", "1e300", "--t", "1e-300"),
 ]
 
 
 def test_edge_inputs_keep_the_exit_code_contract():
-    # a subprocess each, so no pytest warning filter applies
+    # a subprocess each, so no pytest warning filter applies; the timeout
+    # catches a hang (survival at x = 1e300 used to run for minutes)
     for argv in _EDGE_ARGVS:
-        res = run_cli(*argv)
+        res = run_cli(*argv, timeout=30)
         assert res.returncode in (0, 2, 3, 4, 5), (argv, res.stderr)
         assert "Traceback" not in res.stderr, (argv, res.stderr)
+
+
+def test_resolvent_refuses_overflowing_q():
+    res = run_cli("resolvent", *_A, "--q", "1e300", "--x", "1", "--y", "2")
+    assert res.returncode == 3, res.stdout + res.stderr
+    assert "q = 1e+300" in res.stderr

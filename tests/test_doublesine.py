@@ -13,10 +13,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from halfstable.doublesine import (FAR_FIELD_C, SurfacePoint, _log_s2_far,
-                                   _log_s2_quadrature, log_s2, q_pochhammer,
-                                   s2, s2_abs_squared_on_ray, s2_shift_ratio,
-                                   tau_binomial_check)
+from halfstable.doublesine import (FAR_FIELD_C, SurfacePoint, _log_s2_any,
+                                   _log_s2_far, _log_s2_quadrature, log_s2,
+                                   q_pochhammer, s2, s2_abs_squared_on_ray,
+                                   s2_shift_ratio, tau_binomial_check)
 from halfstable.errors import (DivisionByZero, DomainError, PoleProximity)
 
 ALPHAS = (0.7, 1.0, 1.3, 1.7, 1.95)
@@ -112,6 +112,48 @@ def test_abs_squared_on_ray_matches_pointwise():
                        alpha)) ** 2
     assert_allclose(s2_abs_squared_on_ray(b, 0.0, y, alpha), direct,
                     rtol=1e-12)
+
+
+def _ray_lines(alpha):
+    """(b, c, Im w, y) for lines across the window and beyond it.
+
+    The window is [1/2, 1/2 + alpha) below alpha = 1 (the modular image
+    of [alpha_w/2, alpha_w/2 + 1)) and [alpha/2, alpha/2 + 1) above; two
+    lines sit outside it and take the ladder.  Im w runs past the far
+    field threshold, FAR_FIELD_C max(1, alpha) in the unmapped plane,
+    and stays off 0, where some of the lines meet poles.
+    """
+    lo, width = (0.5 * alpha, 1.0) if alpha >= 1.0 else (0.5, alpha)
+    im = np.linspace(-1.4, 1.4, 28) * FAR_FIELD_C * max(1.0, alpha)
+    y = np.exp(2.0 * np.pi * im / alpha)
+    for f in (0.0, 0.3, 0.61, 0.97, -2.35, 3.4):
+        for c in (0.0, 0.4):
+            yield lo + f * width, c, im, y
+
+
+# the same bounds as the crossover test: the reference side is the
+# window quadrature, which holds 1e-12 except at alpha_w = 5
+@pytest.mark.parametrize("alpha, tol", [(0.2, 3e-11), (0.5, 1e-12),
+                                        (1.0, 1e-12), (1.3, 1e-12),
+                                        (1.7, 1e-12), (2.0, 1e-12)])
+def test_abs_squared_on_ray_matches_complex_path(alpha, tol):
+    for b, c, im, y in _ray_lines(alpha):
+        w = b - alpha * c / (2.0 * np.pi) + 1j * im
+        ref = np.exp(2.0 * _log_s2_any(w, alpha).real)
+        got = s2_abs_squared_on_ray(b, c, y, alpha)
+        assert np.max(np.abs(got / ref - 1.0)) <= tol, (b, c)
+
+
+@pytest.mark.parametrize("alpha", (0.2, 0.5, 1.0, 1.3, 1.7, 2.0))
+def test_abs_squared_on_ray_shift_equation(alpha):
+    # |s2(z+1)|^2 |2 sin(pi z/alpha)|^2 = |s2(z)|^2 line by line, with
+    # no reference evaluator involved
+    for b, c, im, y in _ray_lines(alpha):
+        z = b - alpha * c / (2.0 * np.pi) + 1j * im
+        lhs = s2_abs_squared_on_ray(b + 1.0, c, y, alpha) \
+            * np.abs(2.0 * np.sin(np.pi * z / alpha)) ** 2
+        rhs = s2_abs_squared_on_ray(b, c, y, alpha)
+        assert np.max(np.abs(lhs / rhs - 1.0)) <= 1e-12, (b, c)
 
 
 def test_shift_ratio_product():

@@ -1,21 +1,26 @@
-"""Ray profiles: the exact small-x branch of the Laplace transform."""
+"""Ray profiles: the tail handoff, and the Laplace transform's exact
+small-x branch and spline."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from halfstable import StableParams
+from halfstable import StableParams, survival
 from halfstable.eigenfunctions import _g_profile
+from halfstable.profiles import _SPLINE_HI
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.2, 1.5, 2.0])
 @pytest.mark.parametrize("deriv", [0, 1])
 def test_series_branch_matches_grid_dot(alpha, deriv):
     prof = _g_profile(StableParams(alpha, 0.5))
-    # G'(0) diverges, so deriv 1 stays off x = 0
-    x = np.array([0.0, 1e-30, 1e-20, 1e-13, 5e-12][deriv:])
+    # G'(0) diverges, so deriv 1 stays off x = 0; below alpha = 1 the
+    # grid reaches past e^19, and the points shrink with its edge
+    x = np.array([0.0, 1e-30, 1e-20, 1e-13, 5e-12][deriv:]) \
+        * (np.exp(19.0) / prof.z_hi)
     assert np.all(x * prof.z_hi <= 1e-3)  # all on the series branch
     zw = prof.w * prof.vals * (1.0 if deriv == 0 else -prof.z)
     grid_dot = np.exp(-np.outer(x, prof.z)) @ zw \
@@ -39,3 +44,36 @@ def test_laplace_finite_at_tiny_x(alpha, rho, deriv):
     # 5.6e-13 relative at x = 1e-200 for alpha rho_hat = 0.06
     if deriv == 0 and alpha * (1.0 - rho) >= 0.1:
         assert_allclose(vals, prof.laplace(0.0), rtol=1e-15)
+
+
+# survival(x=1, t=1), frozen 2026-10.  Route: the same spectral formula
+# with the profile grid widened to u = +-100 for every alpha, where the
+# dropped tail correction e^(-100 min(1, alpha)) is below 1e-13; the
+# +-60 grid agrees with these to 8e-12.
+SURVIVAL_BELOW_1 = {
+    (0.3, 0.5): 0.6767736830826565,
+    (0.4, 0.8): 0.8640796974136482,
+    (0.6, 0.9): 0.931870891149907,
+    (0.5, 0.5): 0.6863565346919379,
+}
+
+
+@pytest.mark.parametrize("alpha,rho", list(SURVIVAL_BELOW_1))
+def test_survival_below_alpha_1_against_wide_grid(alpha, rho):
+    got = survival(StableParams(alpha, rho), 1.0, 1.0)
+    assert abs(got - SURVIVAL_BELOW_1[alpha, rho]) <= 1e-9
+
+
+def test_spline_edge_stops_at_its_ceiling():
+    # past the ceiling the exact laplace serves, so growing arguments no
+    # longer rebuild the spline (up to 1e300 that was ~500 rebuilds); a
+    # copy with its own memo keeps the cached profile's spline as it was
+    prof = replace(_g_profile(StableParams(1.5, 0.55)), _memo={})
+    x = np.array([1.0, 1e13, 1e100, 1e300])
+    got = prof.interp(x)
+    spline = prof._memo["spline"]
+    assert spline[0] == _SPLINE_HI
+    prof.interp(np.array([1e200, 1e301]))
+    assert prof._memo["spline"] is spline
+    assert_allclose(got[1:], prof.laplace(x[1:]), rtol=1e-15)
+    assert np.all(np.isfinite(got)) and np.all(got >= 0)

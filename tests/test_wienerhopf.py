@@ -203,6 +203,14 @@ def test_h_q_domain_checks(p_generic):
         h_q_density(p_generic, 1.0, 1.0, 2.0, 1.0)  # z == min(x, y)
 
 
+def test_resolvent_refuses_overflowing_q(p_generic):
+    # q^(2/alpha) overflows at q = 1e300; that used to come back as nan
+    with pytest.raises(DomainError, match="q = 1e"):
+        resolvent_density(p_generic, 1e300, 1.0, 2.0)
+    with pytest.raises(DomainError, match="q = "):
+        h_q_density(p_generic, float("nan"), 1.0, 2.0, 0.5)
+
+
 def test_resolvent_brownian_image_formula(p_brownian):
     for q, x, y in [(0.7, 1.0, 2.0), (1.0, 0.5, 0.5), (2.3, 3.0, 0.4)]:
         s = np.sqrt(q)
