@@ -13,22 +13,22 @@ s2(z) s2(1 + alpha - z) = 1 and the modular identity
 s2(z; alpha) = s2(z/alpha; 1/alpha).
 
 Strategy: inside the unit-width window centred on the symmetry point the
-logarithm has an absolutely convergent integral representation
+logarithm is one absolutely convergent integral of one weight,
 
-    log s2(z) = -int_0^inf [ Q(s) - (a/alpha) e^-s (1+s)/s ] ds/s + a/alpha,
+    log s2(z) = -int_0^inf E_a(s) ds,   E_a(s) = [Q(s) - a/(alpha s)] / s,
 
-    Q(s) = (e^{-z s} - e^{-(1+alpha-z) s}) / ((1-e^-s)(1-e^{-alpha s})),
-    a = 1 + alpha - 2 z,
+    Q(s) = (e^{-z s} - e^{-(1+alpha-z) s}) / ((1-e^-s)(1-e^{-alpha s}))
+         = sinh(a s/2) / (2 sinh(s/2) sinh(alpha s/2)),   a = 1 + alpha - 2 z,
 
-where the subtraction removes the double pole of Q/s at s = 0 (using
-int_0^inf (1 - e^-s(1+s))/s^2 ds = 1).  The integrand is evaluated in a
-cancellation-free form: the numerator of Q is written as
--e^{-z s} expm1(-a s), with a complex expm1 built from real expm1 and
-half-angle sines so no digits are lost for small s; below a small cutoff
-the integrand is replaced by its Taylor polynomial (coefficients are
-exact rationals in a and alpha).  Points outside the window are reduced
-into it by the shift equations (the "ladder"), and alpha < 1 is mapped
-through the modular identity first, so the window sees alpha >= 1.
+where a/(alpha s) is the pole of Q at s = 0 (the form with the
+counterterm (a/alpha) e^-s (1+s)/s and + a/alpha is the same integral,
+by int_0^inf (1 - e^-s(1+s))/s^2 ds = 1).  Q is evaluated with expm1,
+and below a small s, where Q - a/(alpha s) cancels, E_a is its exact
+series in s^2.  Past T = 38/min(Re z, 1 + alpha - Re z, 1), Q is below
+e^-38 and the rest of the integral is a/(alpha T).  Points outside the
+window are reduced into it by the shift equations (the "ladder"), and
+alpha < 1 is mapped through the modular identity first, so the window
+sees alpha >= 1.
 
 The integrand oscillates at frequency ~|Im z|, so the panel grid grows
 with it.  Far from the real axis it is not needed: with B_22(z | 1, alpha)
@@ -44,20 +44,16 @@ by floor(|Im z|), and each group's grid is sized by its own points, so
 a point's cost is set by its own |Im z| and not by the largest one in
 its batch.
 
-Moduli on a vertical line Re z = x0 of the window have a cheaper form.
-There Q(s) = sinh(a s/2) / (2 sinh(s/2) sinh(alpha s/2)), so Re Q =
-cos(ys) D(s) with D(s) = sinh(a0 s/2) / (2 sinh(s/2) sinh(alpha s/2)),
-a0 = 1 + alpha - 2 x0, y = Im z.  Writing D = a0/(alpha s) + s E(s) and
-using int_0^inf (cos ys - (1+s) e^-s) / s^2 ds = 1 - pi|y|/2 gives
+Moduli on a vertical line Re z = x0 of the window need only the real
+weight E = E_a0, a0 = 1 + alpha - 2 x0: at z = x0 + iy the real part of
+Q is cos(ys) times the Q of a0, so with int_0^inf (1 - cos ys)/s^2 ds =
+pi|y|/2,
 
     log|s2(x0 + iy)| = (pi a0 / 2 alpha) |y| - int_0^inf E(s) cos(ys) ds,
 
-exactly, with E real, even and fixed by the line.  The leading term is
-the real part of the far-field closed form.  ``s2_abs_squared_on_ray``
-tabulates E once per line (its series in s^2 near 0, the closed tail
--a0/(alpha s^2) past s = 38/min(x0, 1 + alpha - x0, 1)), so each point
-costs one row of a cosine dot; the complex ``log_s2`` keeps the window
-quadrature.
+exactly.  The leading term is the real part of the far-field closed
+form.  ``s2_abs_squared_on_ray`` tabulates E once per line on the same
+panels as the complex path, so each point costs one row of a cosine dot.
 
 The overall sign of the integral representation is the one thing the
 algebra does not pin down cheaply, so every alpha is validated once
@@ -82,9 +78,11 @@ MAX_LADDER_STEPS = 10_000
 # The closed form differs from log s2 by O(e^{-2 pi |Im w| / alpha}) for
 # alpha >= 1; from |Im w| = 5.9 alpha on that is below 8e-17.
 FAR_FIELD_C = 5.9
-# The line weight E is summed as its series in s^2 below s = 0.05/alpha.
-_LINE_SERIES_S = 0.05
-_LINE_SERIES_TERMS = 6
+# The weight E_a is summed as its series in s^2, to s^12, below s =
+# 0.05/alpha (and below s = 0.2/|a|).
+_SERIES_S = 0.05
+_ODD_FACTORIALS = np.array([math.factorial(2 * j + 1) for j in range(7)],
+                           dtype=float)
 
 
 @dataclass(frozen=True)
@@ -122,72 +120,77 @@ class SurfacePoint:
         return cls(abs(z), float(np.angle(z)))
 
 
-def _cexpm1(w):
-    """expm1 for complex arrays without cancellation near 0.
+def _sinh_series(c):
+    """The coefficients, in t = s^2, of sinh(c s/2) / (c s/2) to t^6."""
+    return (0.25 * c * c) ** np.arange(7) / _ODD_FACTORIALS
 
-    e^(x+iy) - 1 = expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y.
+
+def _series_edge(a, alpha):
+    """The s below which ``_weight`` sums E_a as its series in s^2."""
+    return min(_SERIES_S / alpha, 0.2 / max(float(np.max(np.abs(a))), 1e-30))
+
+
+def _weight(s, a, alpha):
+    """E_a(s) = [Q(s) - a/(alpha s)] / s: rows a (real or complex), columns
+    s (ascending).
+
+    Q(s) = sinh(a s/2) / (2 sinh(s/2) sinh(alpha s/2)) is evaluated in the
+    overflow-free form -e^{-z s} expm1(-a s) / (expm1(-s) expm1(-alpha s)),
+    z = (1 + alpha - a)/2.  Below ``_series_edge``, where Q - a/(alpha s)
+    cancels, Q = (a/(alpha s)) N/D with N = sinh(a s/2) / (a s/2) and D
+    = sinh(s/2) sinh(alpha s/2) / (alpha s^2/4), so E_a = (a/alpha) (N -
+    D) / (s^2 D), with N - D summed as the difference of the two series
+    in t = s^2; the first dropped term is below 1e-20 relative.
     """
-    w = np.asarray(w, dtype=complex)
-    x, y = w.real, w.imag
-    return np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2 \
-        + 1j * np.exp(x) * np.sin(y)
+    a = np.asarray(a)[:, None]
+    j = np.searchsorted(s, _series_edge(a, alpha))
+    sl, sb = s[:j], s[j:]
+    q = -np.exp(-0.5 * (1.0 + alpha - a) * sb) * np.expm1(-a * sb) \
+        / (np.expm1(-sb) * np.expm1(-alpha * sb))
+    t = sl * sl
+    d = 4.0 * np.sinh(0.5 * sl) * np.sinh(0.5 * alpha * sl) / (alpha * t)
+    diff = _sinh_series(a) \
+        - np.convolve(_sinh_series(1.0), _sinh_series(alpha))[:7]
+    acc = diff[:, 6:]  # diff[:, 0] = 0
+    for m in range(5, 0, -1):
+        acc = acc * t + diff[:, m:m + 1]
+    return np.concatenate(((a / alpha) * acc / d,
+                           (q - a / (alpha * sb)) / sb), axis=1)
 
 
-def _core_integrand(s, z, a, alpha):
-    # rows: points, columns: quadrature nodes
-    s = s[None, :]
-    zc = z[:, None]
-    ac = a[:, None]
-    Q = -np.exp(-zc * s) * _cexpm1(-ac * s) \
-        / (np.expm1(-s) * np.expm1(-alpha * s))
-    return (Q - (ac / alpha) * np.exp(-s) * (1.0 + s) / s) / s
+def _panels(a, alpha, rmin, osc):
+    """Gauss-Legendre nodes and weights for E_a on [0, T], and T.
+
+    T = 38 / rmin, past which Q is below e^-38 and E_a = -a/(alpha s^2).
+    The edges are 0, ``_series_edge``, then geometric with ratio 1.9 (the
+    poles of E_a sit on the imaginary axis, so a panel at s may be about
+    s wide), each panel at most 10/osc wide so that it spans under two
+    periods of the oscillation.
+    """
+    big_t = 38.0 / rmin
+    cap = 10.0 / max(osc, 1e-10)
+    edges = [0.0, _series_edge(a, alpha)]
+    while edges[-1] < big_t:
+        e = edges[-1]
+        edges.append(min(e * 1.9, e + cap, big_t))
+    return *panel_nodes(edges, order=24), big_t
 
 
 def _log_s2_quadrature(z, alpha):
     """log s2 on the strip 0 < Re z < 1 + alpha, vectorized over z.
 
-    Small-s head by a degree-5 Taylor polynomial of the integrand (the
-    coefficients below are the exact series, generated symbolically and
-    cross-checked against 40-digit quadrature), remainder by geometric
-    Gauss-Legendre panels whose length is capped by the oscillation
-    scale max(|Im a|, |Im z|) over the batch.
+    -int_0^T E_a(s) ds + a/(alpha T) on the panels of ``_panels``, sized
+    by the batch: T by its smallest distance to the strip edges and the
+    panel cap by its largest |Im a| = 2 |Im z|.
     """
     z = np.asarray(z, dtype=complex)
     a = 1.0 + alpha - 2.0 * z
-    amax = float(np.max(np.abs(a))) if z.size else 0.0
-    sc = min(3e-3, 0.2 / max(amax, 1e-30))
-
-    A = a * a
-    L = alpha * alpha
-    c0 = a * (A - L + 11) / (24 * alpha)
-    c1 = -a / (3 * alpha)
-    c2 = a * (3 * A * A - 10 * A * L - 10 * A + 7 * L * L + 10 * L + 727) \
-        / (5760 * alpha)
-    c3 = -a / (30 * alpha)
-    c4 = a * (3 * A ** 3 - 21 * A * A * L - 21 * A * A + 49 * A * L * L
-              + 70 * A * L + 49 * A - 31 * L ** 3 - 49 * L * L - 49 * L
-              + 6689) / (967680 * alpha)
-    c5 = -a / (840 * alpha)
-    head = sc * (c0 + sc * (c1 / 2 + sc * (c2 / 3 + sc * (
-        c3 / 4 + sc * (c4 / 5 + sc * (c5 / 6))))))
-
     rmin = float(min(np.min(z.real), np.min(1 + alpha - z.real), 1.0))
-    T = 38.0 / rmin
-    osc = float(max(np.max(np.abs(a.imag)), np.max(np.abs(z.imag)), 1e-10))
-    cap = 10.0 / osc
-    edges = [sc]
-    while edges[-1] < T:
-        e = edges[-1]
-        edges.append(min(e * 1.9, e + cap, T))
-    nodes, wts = panel_nodes(edges, order=24)
-
-    out = np.empty(z.shape, dtype=complex)
-    chunk = max(1, int(4_000_000 // max(nodes.size, 1)))
-    for i in range(0, z.size, chunk):
-        sl = slice(i, i + chunk)
-        vals = _core_integrand(nodes, z[sl], a[sl], alpha)
-        out[sl] = vals @ wts
-    return -(head + out) + a / alpha
+    s, ws, big_t = _panels(a, alpha, rmin, float(np.max(np.abs(a.imag))))
+    rows = max(1, 4_000_000 // s.size)
+    body = np.concatenate([_weight(s, a[i:i + rows], alpha) @ ws
+                           for i in range(0, a.size, rows)])
+    return a / (alpha * big_t) - body
 
 
 def _log_s2_far(w, alpha):
@@ -237,25 +240,37 @@ def _log_2sin(w):
     return out
 
 
+def _poles_by_column(x, alpha):
+    """(distance, m, n) for n = 1, 2, ...: the pole m + alpha n (m >= 1)
+    nearest the real x in each column n that can hold the nearest one."""
+    for n in range(1, int(max(x - 1.0, 0.0) / alpha) + 2):
+        m = max(1, round(x - alpha * n))
+        yield abs(x - m - alpha * n), m, n
+
+
 def _assert_pole_clear(z, alpha):
     """Raise PoleProximity if z is within POLE_RADIUS of m + alpha n."""
     z = np.atleast_1d(z)
-    near_axis = np.abs(z.imag) < POLE_RADIUS
-    if not np.any(near_axis):
-        return
-    for zz in z[near_axis]:
-        x = zz.real
-        if x < 1.0 + alpha - POLE_RADIUS:
-            continue
-        nmax = int((x - 1.0 + POLE_RADIUS) / alpha) + 1
-        for n in range(1, nmax + 1):
-            m = round(x - alpha * n)
-            if m >= 1:
-                d2 = (x - (m + alpha * n)) ** 2 + zz.imag ** 2
-                if d2 <= POLE_RADIUS * POLE_RADIUS:
-                    raise PoleProximity(
-                        f"z={zz} within {POLE_RADIUS} of pole "
-                        f"{m}+{alpha}*{n}")
+    for zz in z[np.abs(z.imag) < POLE_RADIUS]:
+        for d, m, n in _poles_by_column(zz.real, alpha):
+            if math.hypot(d, zz.imag) <= POLE_RADIUS:
+                raise PoleProximity(
+                    f"z={zz} within {POLE_RADIUS} of pole {m}+{alpha}*{n}")
+
+
+def _ladder_steps(x, alpha):
+    """The shifts k that bring the real parts x into the window
+    [alpha/2, alpha/2 + 1), centred in the strip (alpha >= 1)."""
+    lo = 0.5 * alpha
+    # counted in floats: a far point's count does not fit an int64
+    k = np.where(x < lo, np.ceil(lo - x),
+                 np.where(x >= lo + 1.0, -np.floor(x - lo), 0.0))
+    kmax = float(np.max(np.abs(k), initial=0.0))
+    if kmax > MAX_LADDER_STEPS:
+        raise DomainError(
+            f"point needs {kmax:.0f} shifts to reach the evaluation window "
+            f"(limit {MAX_LADDER_STEPS})")
+    return k.astype(np.int64)
 
 
 def _log_s2_any(z, alpha):
@@ -263,20 +278,8 @@ def _log_s2_any(z, alpha):
     if alpha < 1.0:
         return _log_s2_any(z / alpha, 1.0 / alpha)
     z = np.asarray(z, dtype=complex)
-    lo = 0.5 * alpha  # window [alpha/2, alpha/2 + 1), centred in the strip
-    x = z.real
-    # counted in floats: a far point's count does not fit an int64
-    k = np.zeros(z.shape)
-    below = x < lo
-    k[below] = np.ceil(lo - x[below])
-    above = x >= lo + 1.0
-    k[above] = -np.floor(x[above] - lo)
-    kmax = int(np.max(np.abs(k))) if k.size else 0
-    if kmax > MAX_LADDER_STEPS:
-        raise DomainError(
-            f"point needs {kmax} shifts to reach the evaluation window "
-            f"(limit {MAX_LADDER_STEPS})")
-    k = k.astype(np.int64)
+    k = _ladder_steps(z.real, alpha)
+    kmax = int(np.max(np.abs(k), initial=0))
     w = z + k
     total = _log_s2_window(w, alpha)
     if kmax:
@@ -346,56 +349,18 @@ def s2(z, alpha):
     return out
 
 
-def _sinh_series(c, n):
-    """The first n coefficients, in t = s^2, of sinh(c s/2) / (c s/2)."""
-    k = np.arange(n)
-    return (0.25 * c * c) ** k / np.array(
-        [math.factorial(2 * j + 1) for j in k], dtype=float)
-
-
-def _line_weight(s, x0, alpha):
-    """E(s) = [D(s) - a0/(alpha s)] / s on the line Re z = x0 (alpha >= 1).
-
-    D(s) = sinh(a0 s/2) / (2 sinh(s/2) sinh(alpha s/2)), a0 = 1 + alpha
-    - 2 x0, is evaluated in the overflow-free exponential form of Q.
-    Below s = 0.05/alpha, where D - a0/(alpha s) cancels, E is the series
-    (a0/alpha) sum_n r_n s^(2n-2), with r_n the coefficients of
-    sinh(a0 s/2)/(a0 s/2) divided by the two denominator series; the
-    first dropped term is below 1e-20 relative.
-    """
-    a0 = 1.0 + alpha - 2.0 * x0
-    out = np.empty_like(s)
-    small = s < _LINE_SERIES_S / alpha
-    sb = s[~small]
-    d = -np.exp(-x0 * sb) * np.expm1(-a0 * sb) \
-        / (np.expm1(-sb) * np.expm1(-alpha * sb))
-    out[~small] = (d - a0 / (alpha * sb)) / sb
-    n = _LINE_SERIES_TERMS + 1
-    num = _sinh_series(a0, n)
-    den = np.convolve(_sinh_series(1.0, n), _sinh_series(alpha, n))[:n]
-    r = num.copy()  # den[0] = 1, so r[0] = num[0]
-    for m in range(1, n):
-        r[m] -= den[1:m + 1] @ r[m - 1::-1]
-    out[small] = (a0 / alpha) * np.polyval(r[:0:-1], s[small] ** 2)
-    return out
-
-
 def _line_transform(x0, y, alpha):
     """int_0^inf E(s) cos(y s) ds for y >= 0 on the line Re z = x0.
 
-    E is tabulated once on Gauss-Legendre panels over [0, T], T = 38 /
-    min(x0, 1 + alpha - x0, 1), each panel at most 10/max(y) wide (so a
-    panel spans under two periods of cos(y s)) and 2/alpha wide (E's
-    nearest poles sit at +-2 pi i / alpha).  Beyond T, D is below e^-38
-    and E = -a0/(alpha s^2), whose cosine integral is closed:
-    int_T^inf cos(ys)/s^2 ds = cos(yT)/T - y (pi/2 - Si(yT)).
+    E = E_a0 with the real a0 = 1 + alpha - 2 x0, tabulated once on the
+    panels of ``_panels`` (T = 38 / min(x0, 1 + alpha - x0, 1), cap
+    10/max(y)).  Beyond T, E = -a0/(alpha s^2), whose cosine integral is
+    closed: int_T^inf cos(ys)/s^2 ds = cos(yT)/T - y (pi/2 - Si(yT)).
     """
     a0 = 1.0 + alpha - 2.0 * x0
-    big_t = 38.0 / min(x0, 1.0 + alpha - x0, 1.0)
-    width = min(10.0 / max(float(y.max()), 1e-10), 2.0 / alpha)
-    edges = np.linspace(0.0, big_t, int(np.ceil(big_t / width)) + 1)
-    s, ws = panel_nodes(edges, order=24)
-    we = ws * _line_weight(s, x0, alpha)
+    s, ws, big_t = _panels(a0, alpha, min(x0, 1.0 + alpha - x0, 1.0),
+                           float(y.max()))
+    we = ws * _weight(s, [a0], alpha)[0]
     # row chunks keep the cosine table near 2^18 entries for any batch
     rows = max(1, (1 << 18) // s.size)
     body = np.concatenate([np.cos(np.outer(y[i:i + rows], s)) @ we
@@ -415,17 +380,7 @@ def _log_abs_s2_line(x, y, alpha):
     """
     if alpha < 1.0:
         return _log_abs_s2_line(x / alpha, y / alpha, 1.0 / alpha)
-    lo = 0.5 * alpha  # the window [lo, lo + 1) of _log_s2_any
-    k = 0.0
-    if x < lo:
-        k = np.ceil(lo - x)
-    elif x >= lo + 1.0:
-        k = -np.floor(x - lo)
-    if abs(k) > MAX_LADDER_STEPS:
-        raise DomainError(
-            f"point needs {abs(k):.0f} shifts to reach the evaluation "
-            f"window (limit {MAX_LADDER_STEPS})")
-    k = int(k)
+    k = int(_ladder_steps(np.asarray(x), alpha))
     x0 = x + k
     out = (0.5 * np.pi * (1.0 + alpha - 2.0 * x0) / alpha) * y
     near = y < FAR_FIELD_C * alpha
@@ -444,19 +399,15 @@ def s2_abs_squared_on_ray(b, c, y, alpha):
 
     The displacement shifts the real part by -alpha c / (2 pi) and puts
     alpha log(y) / (2 pi) on the imaginary axis, so all points share one
-    vertical line Re w = x.  On it the real part of Q(s) is cos(Im w s)
-    D(s), and with int_0^inf (cos ys - (1+s) e^-s) / s^2 ds = 1 - pi|y|/2
-    the window formula becomes, exactly,
+    vertical line Re w = x.  After the ladder brings it to Re w = x0 in
+    the window, the real part of the window integral is, exactly,
 
         log|s2(x0 + i y)| = (pi a0 / 2 alpha) |y| - int_0^inf E(s) cos(ys) ds,
 
-        E(s) = [D(s) - a0/(alpha s)] / s,  a0 = 1 + alpha - 2 x0,
-
-    where E is real, even and fixed by the line.  The leading term is the
-    real part of the far-field closed form.  E is tabulated once per call
-    and each distinct |Im w| (|s2| is even in it) costs one row of a
-    cosine dot, instead of a complex window quadrature per point.
-    Returns real values; vectorized over y.
+    with E = E_a0 the weight of the complex path at the real a0 = 1 +
+    alpha - 2 x0.  E is tabulated once per call on the complex path's
+    panels, and each distinct |Im w| (|s2| is even in it) costs one row
+    of a cosine dot.  Returns real values; vectorized over y.
     """
     alpha = _check_alpha(alpha)
     if np.any(y <= 0):

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import exp1, gammainc, gammaincc, gamma as _gamma_fn
 
-from .doublesine import s2_abs_squared_on_ray
+from .doublesine import _poles_by_column, s2_abs_squared_on_ray
 from .errors import DomainError
 from .numerics import panel_nodes, vectorized
 
@@ -46,6 +46,12 @@ from .numerics import panel_nodes, vectorized
 # e^-19 still moves survival by up to 1.6e-9 (at (0.6, 0.9)), so there
 # U = 21 / alpha, which bounds it by e^-21 = 7.6e-10 for every alpha and
 # gives 3.7 times the nodes at alpha = 0.3.
+#
+# The line Re w = b crosses the real axis at u = 0, and a pole of s2 at
+# distance d from b sits 2 pi d / alpha off the u axis there.  When that
+# is below one panel width (near a one-sided edge, alpha rho -> 1 for the
+# supremum profile), the panels around 0 are halved, with edges at 0 and
+# +-0.2 2^-k, down to a quarter of that distance.
 _U_EDGE = 19.0
 _U_EDGE_BELOW_1 = 21.0
 _PANEL = 0.2
@@ -242,6 +248,11 @@ def ray_profile(alpha, b, q) -> RayProfile:
     u_edge = _U_EDGE if alpha >= 1.0 else _U_EDGE_BELOW_1 / alpha
     n_panels = int(np.ceil(2.0 * u_edge / _PANEL))
     edges = np.linspace(-u_edge, u_edge, n_panels + 1)
+    gap = 2.0 * np.pi * min(_poles_by_column(b, alpha))[0] / alpha
+    if gap < _PANEL:
+        fine = _PANEL * 0.5 ** np.arange(1, int(np.log2(0.8 / gap)) + 1)
+        edges = np.sort(np.concatenate(
+            (edges[np.abs(edges) > 0.99 * _PANEL], -fine, [0.0], fine)))
     u, du = panel_nodes(edges)
     z = np.exp(u)
     w = du * z  # dz = z du
