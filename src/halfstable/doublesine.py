@@ -245,7 +245,7 @@ def _poles_by_column(x, alpha):
     nearest the real x in each column n that can hold the nearest one."""
     for n in range(1, int(max(x - 1.0, 0.0) / alpha) + 2):
         m = max(1, round(x - alpha * n))
-        yield abs(x - m - alpha * n), m, n
+        yield abs(x - (m + alpha * n)), m, n
 
 
 def _assert_pole_clear(z, alpha):
