@@ -249,8 +249,15 @@ def _poles_by_column(x, alpha):
 
 
 def _assert_pole_clear(z, alpha):
-    """Raise PoleProximity if z is within POLE_RADIUS of m + alpha n."""
+    """Raise PoleProximity if z is within POLE_RADIUS of m + alpha n.
+
+    The scan costs one pole column per alpha of Re z, so the ladder
+    limit, which the reduction would hit anyway, is checked first."""
     z = np.atleast_1d(z)
+    if alpha < 1.0:
+        _ladder_steps(z.real / alpha, 1.0 / alpha)
+    else:
+        _ladder_steps(z.real, alpha)
     for zz in z[np.abs(z.imag) < POLE_RADIUS]:
         for d, m, n in _poles_by_column(zz.real, alpha):
             if math.hypot(d, zz.imag) <= POLE_RADIUS:

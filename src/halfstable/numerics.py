@@ -6,7 +6,9 @@ content.  The two entry points are
 * ``integrate_semi_infinite``: integral of f over (0, inf) guided by an
   ``IntegrandProfile`` describing decay class, endpoint singularity and
   oscillation scale.  Adaptive two-level Gauss-Legendre panels on a
-  truncated / transformed axis.
+  truncated / transformed axis, refined in rounds: each round calls f
+  on the nodes of all its new panels at once (in blocks of DOT_BLOCK
+  nodes), so f is called about once per round, not once per panel.
 
 * ``integrate_oscillatory_decaying``: integral of a decaying oscillation,
   partitioned at the half-period spacing pi/frequency and summed with
@@ -32,6 +34,11 @@ import numpy as np
 from .errors import NotIntegrable
 
 DEFAULT_TOL = 1e-10
+# Entries of one temporary in a blocked evaluation: a matrix dot takes
+# rows in blocks of at most this many entries, and the adaptive driver
+# hands its integrand at most this many nodes per call, so a large
+# batch never allocates its temporaries all at once.
+DOT_BLOCK = 2 ** 15
 
 
 def vectorized(arg, dtype=float):
@@ -119,37 +126,50 @@ def panel_nodes(edges, order=16):
     return nodes, weights
 
 
-def _panel_pair(f, a, b, order_lo=12, order_hi=24):
-    """Two-level GL estimate of int_a^b f, returning (fine, |fine-coarse|, evals)."""
-    xl, wl = _gl_rule(order_lo)
-    xh, wh = _gl_rule(order_hi)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    coarse = half * np.sum(wl * f(mid + half * xl))
-    fine = half * np.sum(wh * f(mid + half * xh))
-    return fine, abs(fine - coarse), order_lo + order_hi
-
-
 def _adaptive_panels(f, edges, tol, max_evals):
-    """Adaptive bisection refinement starting from the given panel edges."""
-    panels = []
+    """Adaptive bisection refinement starting from the given panel edges.
+
+    Each round evaluates f on the 12- and 24-point Gauss-Legendre nodes
+    of every new panel, one (panels, 36) array, in one call per
+    DOT_BLOCK nodes (one call unless a round has more than 910 panels),
+    so the temporaries of f stay small; a panel's error is the gap
+    between its two estimates.  The round then bisects the fewest
+    largest-error panels whose errors add up to more than total - tol,
+    but no more than the evaluations left in max_evals allow, plus one
+    panel pair.  Returns (value, error, evaluations, converged); a nan
+    anywhere leaves it unconverged.
+    """
+    xl, wl = _gl_rule(12)
+    xh, wh = _gl_rule(24)
+    x = np.concatenate((xl, xh))
+    new_lo = np.asarray(edges[:-1], dtype=float)
+    new_hi = np.asarray(edges[1:], dtype=float)
+    lo = hi = vals = errs = np.empty(0)
     evals = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, err, n = _panel_pair(f, a, b)
-        panels.append((err, a, b, val))
-        evals += n
-    total_err = sum(p[0] for p in panels)
-    while total_err > tol and evals < max_evals:
-        panels.sort(key=lambda p: p[0])
-        err0, a, b, _ = panels.pop()
-        m = 0.5 * (a + b)
-        v1, e1, n1 = _panel_pair(f, a, m)
-        v2, e2, n2 = _panel_pair(f, m, b)
-        panels.append((e1, a, m, v1))
-        panels.append((e2, m, b, v2))
-        evals += n1 + n2
-        total_err += e1 + e2 - err0
-    value = sum(p[3] for p in panels)
-    return value, total_err, evals, total_err <= tol
+    while True:
+        mid, half = 0.5 * (new_lo + new_hi), 0.5 * (new_hi - new_lo)
+        nodes = (mid[:, None] + half[:, None] * x).ravel()
+        blocks = [nodes[i:i + DOT_BLOCK]
+                  for i in range(0, nodes.size, DOT_BLOCK)]
+        fx = np.concatenate([f(b) for b in blocks]).reshape(mid.size, -1)
+        coarse = half * (fx[:, :xl.size] @ wl)
+        fine = half * (fx[:, xl.size:] @ wh)
+        lo, hi = np.concatenate((lo, new_lo)), np.concatenate((hi, new_hi))
+        vals = np.concatenate((vals, fine))
+        errs = np.concatenate((errs, np.abs(fine - coarse)))
+        evals += nodes.size
+        total = float(np.sum(errs))
+        if not (total > tol and evals < max_evals):
+            return np.sum(vals), total, evals, total <= tol
+        order = np.argsort(errs)[::-1]
+        k = int(np.searchsorted(np.cumsum(errs[order]), total - tol,
+                                side="right")) + 1
+        k = min(k, -(-(max_evals - evals) // (2 * x.size)))
+        split, keep = order[:k], order[k:]
+        m = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate((lo[split], m))
+        new_hi = np.concatenate((m, hi[split]))
+        lo, hi, vals, errs = lo[keep], hi[keep], vals[keep], errs[keep]
 
 
 def _initial_edges(a, b, frequency, max_panels=4000):
@@ -163,6 +183,9 @@ def _initial_edges(a, b, frequency, max_panels=4000):
     return np.linspace(a, b, n + 1)
 
 
+_X_FLOOR = 1e-300  # the smallest x at which f is evaluated
+
+
 def _power_endpoint_panels(f, cut, gamma, frequency, tol, max_evals,
                            extra=()):
     """int_0^cut f with f ~ x**gamma at 0, gamma > -1, via x = v**p.
@@ -171,25 +194,33 @@ def _power_endpoint_panels(f, cut, gamma, frequency, tol, max_evals,
     v**(p*(1+gamma)-1); p is chosen so that exponent is >= 1, leaving a
     bounded integrand that vanishes at v = 0.  ``extra`` lists interior
     x-breakpoints to force as panel edges (mapped through the
-    substitution).
+    substitution).  Near v = 0, v**p underflows to 0 (p >= 34 once
+    1 + gamma < 0.06), so f is never evaluated below x0 = 1e-300: the
+    panels start at v0 = x0**(1/p).  The mass left out, |x0 f(x0)| /
+    (1 + gamma) for f ~ x**gamma, is extrapolated from x1 = max(x0,
+    first edge**p) and goes into the error estimate, not the value.
     """
     p = max(1.0, float(np.ceil(2.0 / (1.0 + gamma))))
 
     def g(v):
-        v = np.maximum(v, 1e-300)
         return p * v**(p - 1.0) * f(v**p)
 
-    vcut = cut**(1.0 / p)
+    v0, vcut = _X_FLOOR**(1.0 / p), cut**(1.0 / p)
     n_inner = 24
     if frequency > 0:
         # phase on [0, cut] in x is at most frequency*cut; the adaptive
         # pass resolves it, helped by a denser start
         n_inner += int(min(frequency * cut, 200))
-    edges = np.concatenate(([0.0], np.geomspace(1e-4 * vcut, vcut, n_inner)))
+    edges = np.geomspace(1e-4 * vcut, vcut, n_inner)
     ex = np.asarray([e ** (1.0 / p) for e in extra if 0.0 < e < cut])
     if ex.size:
         edges = np.union1d(edges, ex)
-    return _adaptive_panels(g, edges, tol, max_evals)
+    edges = np.concatenate(([v0], edges[edges > v0]))
+    val, err, evals, _ = _adaptive_panels(g, edges, tol, max_evals)
+    x1 = max(_X_FLOOR, edges[1]**p)
+    fx1 = abs(f(np.array([x1]))[0])
+    err += x1 * fx1 * (_X_FLOOR / x1)**(1.0 + gamma) / (1.0 + gamma)
+    return val, err, evals + 1, err <= tol
 
 
 def integrate_semi_infinite(f, profile, tol=DEFAULT_TOL, max_evals=500_000,

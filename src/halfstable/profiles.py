@@ -35,7 +35,7 @@ from scipy.special import exp1, gammainc, gammaincc, gamma as _gamma_fn
 
 from .doublesine import _poles_by_column, s2_abs_squared_on_ray
 from .errors import DomainError
-from .numerics import panel_nodes, vectorized
+from .numerics import DOT_BLOCK, panel_nodes, vectorized
 
 
 # The master grid in u = log z: Gauss-Legendre panels of width 0.2 (16
@@ -86,8 +86,7 @@ def upper_gamma(a, x):
     return g
 
 
-_SPLINE_LO = 1e-12      # lower edge of the laplace spline
-_SPLINE_HI = 1e12       # its upper edge never grows past this
+_SPLINE_HI = 1e12       # upper edge of the laplace spline, at most
 _SPLINE_STEP = 0.006    # its node spacing in log x
 _SERIES_EDGE = 1e-3     # x z_hi up to which laplace sums the Taylor series
 _SERIES_TERMS = 6
@@ -111,8 +110,9 @@ class RayProfile:
     M_k = sum w W z^k (times -z for deriv 1) computed once per profile;
     W >= 0 bounds M_k by z_hi^k M_0, so the dropped terms are below
     1.5e-21 M_0.  ``interp`` serves laplace through a cubic spline in
-    log x on [1e-12, hi], hi <= 1e12, step 0.006, built on first use
-    and kept in the profile's memo.
+    log x on [1e-3 / z_hi, hi], hi <= 1e12, step 0.006, built on first
+    use and kept in the profile's memo: it starts at the series edge, so
+    below it laplace costs only the series.
     """
     alpha: float
     b: float
@@ -151,13 +151,15 @@ class RayProfile:
 
         The spline's upper edge starts at max(64, 1.3 max x) and grows
         at least 4x whenever a larger argument arrives, but never past
-        1e12, so a profile builds it at most 17 times in all.  Arguments
-        below 1e-12 or above the edge take the exact laplace.
+        1e12, so a profile builds it at most 17 times in all.  Its lower
+        edge is the series edge 1e-3 / z_hi.  Arguments below it take the
+        exact laplace, which is the Taylor series there; arguments above
+        the upper edge take the exact laplace too.
         """
         x = np.asarray(x, dtype=float)
         hi, spline = self._spline(float(x.max(initial=0.0)))
         out = np.empty_like(x)
-        inside = (x >= _SPLINE_LO) & (x <= hi)
+        inside = (x >= _SERIES_EDGE / self.z_hi) & (x <= hi)
         out[inside] = spline(np.log(x[inside]))
         if not inside.all():
             out[~inside] = self.laplace(x[~inside])
@@ -167,23 +169,25 @@ class RayProfile:
         hi, spline = self._memo.get("spline", (0.0, None))
         if spline is None or (xmax > hi and hi < _SPLINE_HI):
             hi = min(max(64.0, 4.0 * hi, 1.3 * xmax), _SPLINE_HI)
-            n = int(np.log(hi / _SPLINE_LO) / _SPLINE_STEP)
-            grid = np.linspace(np.log(_SPLINE_LO), np.log(hi), n)
+            lo = _SERIES_EDGE / self.z_hi
+            grid = np.linspace(np.log(lo), np.log(hi),
+                               int(np.log(hi / lo) / _SPLINE_STEP))
             spline = CubicSpline(grid, self.laplace(np.exp(grid)))
             self._memo["spline"] = hi, spline
         return hi, spline
 
     def _grid_dot(self, x, deriv):
-        """sum_k e^{-x z_k} zw_k, 64 entries of x at a time so the exp
-        temporary stays small.  Each block stops at the first node where
-        e^{-x z} is exactly 0 for all its x (x z > 750), so a large x
-        costs only the nodes it sees."""
+        """sum_k e^{-x z_k} zw_k, in blocks of x whose exp temporary
+        holds at most DOT_BLOCK entries (or one row).  Each block stops at the first
+        node where e^{-x z} is exactly 0 for all its x (x z > 750), so a
+        large x costs only the nodes it sees."""
         zw = self._zw(deriv)
         out = np.empty(x.shape)
-        for i in range(0, x.size, 64):
-            xb = x[i:i + 64]
+        rows = max(1, DOT_BLOCK // self.z.size)
+        for i in range(0, x.size, rows):
+            xb = x[i:i + rows]
             m = np.searchsorted(self.z, 750.0 / xb.min())
-            out[i:i + 64] = np.exp(-np.outer(xb, self.z[:m])) @ zw[:m]
+            out[i:i + rows] = np.exp(-np.outer(xb, self.z[:m])) @ zw[:m]
         return out
 
     def _zw(self, deriv):

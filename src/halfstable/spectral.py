@@ -49,8 +49,9 @@ from .doublesine import s2
 from .eigenfunctions import EigenFn, _Kernel, f_eigen
 from .errors import BudgetExceeded, DomainError, NonConvergence
 from .model import StableParams
-from .numerics import (integrate_interval, integrate_oscillatory_decaying,
-                       panel_nodes, vectorized)
+from .numerics import (DOT_BLOCK, integrate_interval,
+                       integrate_oscillatory_decaying, panel_nodes,
+                       vectorized)
 
 _TWO_OVER_PI = 2.0 / np.pi
 
@@ -245,10 +246,11 @@ def _gap(coarse, fine) -> float:
 
 
 def _chunked_dot(kernel, a, nodes, row):
-    """kernel(outer(a, nodes)) @ row, 64 entries of a at a time so the
-    outer-product temporary stays small."""
-    return np.concatenate([kernel(np.outer(a[i:i + 64], nodes)) @ row
-                           for i in range(0, a.size, 64)])
+    """kernel(outer(a, nodes)) @ row, in blocks of a whose outer-product
+    temporary holds at most DOT_BLOCK entries (or one row)."""
+    rows = max(1, DOT_BLOCK // nodes.size)
+    return np.concatenate([kernel(np.outer(a[i:i + rows], nodes)) @ row
+                           for i in range(0, a.size, rows)])
 
 
 def _check_defined(params: StableParams, need: str):

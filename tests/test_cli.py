@@ -196,6 +196,7 @@ _EDGE_ARGVS = [
     ("s2", "--alpha", "1e-300", "--z", "0.5"),
     ("s2", "--alpha", "1e400", "--z", "1"),
     ("s2", "--alpha", "1.5", "--z", "1e300"),
+    ("s2", "--alpha", "1.5", "--z", "1000000000000.3"),
     ("phi", *_A, "--z", "nan"),
     ("eigenfn", *_A, "--x", "1e-300"),
     ("survival", *_A, "--x", "1", "--t", "1", "--tol", "-1"),

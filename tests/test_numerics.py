@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from halfstable import StableParams, spectral
 from halfstable.errors import NotIntegrable
 from halfstable.numerics import (IntegrandProfile, integrate_finite_singular,
                                  integrate_interval,
@@ -96,3 +97,56 @@ def test_upper_gamma_against_mpmath():
     for a, x in cases:
         ref = float(mp.gammainc(a, x, mp.inf))
         assert_allclose(upper_gamma(a, np.array([x]))[0], ref, rtol=1e-12)
+
+
+def test_complex_integrand():
+    # int_0^inf e^-(1 - 2i)x dx = 1 / (1 - 2i), one panel array per round
+    res = integrate_semi_infinite(
+        lambda x: np.exp(-(1.0 - 2.0j) * x),
+        IntegrandProfile("exponential", rate=1.0, frequency=2.0))
+    _check(res, 1.0 / (1.0 - 2.0j))
+    res = integrate_interval(lambda x: np.exp(1j * x), 0.0, np.pi)
+    _check(res, 2.0j)
+
+
+def test_small_budget_stops_within_one_panel_pair():
+    # the endpoint singularity never converges by bisection
+    res = integrate_interval(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0,
+                             max_evals=1000)
+    assert not res.converged
+    assert 1000 <= res.evaluations <= 1000 + 72
+
+
+def test_warm_survival_calls_its_integrand_a_few_times(monkeypatch):
+    p = StableParams(0.3, 0.5)
+    first = spectral.survival(p, 1.0, 1.0)  # builds profiles and spline
+    calls = []
+    inner = spectral.integrate_interval
+
+    def counting(f, *args, **kwargs):
+        def g(x):
+            calls.append(x.size)
+            return f(x)
+        return inner(g, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "integrate_interval", counting)
+    # the cold call grew the G spline part way, so the last digit may move
+    assert_allclose(spectral.survival(p, 1.0, 1.0), first, rtol=1e-14)
+    assert 0 < len(calls) < 60
+
+
+@pytest.mark.parametrize("gamma, converged", [(-0.95, True),
+                                              (-0.97, False)])
+def test_endpoint_panels_stay_off_zero(gamma, converged):
+    # x = v**p underflows to 0 for p = 40 and 67; f must never see it,
+    # and the mass below 1e-300, (1e-300)**(1 + gamma) / (1 + gamma),
+    # is 2e-14 resp. 3.3e-8: inside resp. outside the tolerance
+    def f(x):
+        assert np.all(x > 0)
+        return x ** gamma
+
+    res = integrate_finite_singular(f, 1.0, gamma)
+    assert res.converged is converged
+    truth = 1.0 / (1.0 + gamma)
+    assert abs(res.value - truth) <= 1.01 * res.abs_error_estimate
+    assert res.abs_error_estimate >= 1e-300 ** (1.0 + gamma) / (1.0 + gamma)
