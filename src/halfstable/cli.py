@@ -130,11 +130,8 @@ def _params_of(args):
     return StableParams(args.alpha, args.rho)
 
 
-def _base_config(args, p=None) -> dict:
-    cfg = {"alpha": f"{args.alpha:.17g}"}
-    if p is not None:
-        cfg["rho"] = f"{p.rho:.17g}"
-    return cfg
+def _base_config(args, p) -> dict:
+    return {"alpha": f"{args.alpha:.17g}", "rho": f"{p.rho:.17g}"}
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +282,9 @@ def _cmd_doney(args):
 
 def _cmd_simulate(args):
     from .montecarlo import PathConfig, estimate_survival, richardson_survival
-    from .spectral import survival
+    from .spectral import SpectralConfig, survival
     p = _params_of(args)
-    spectral = survival(p, args.x, args.t)
+    spectral = survival(p, args.x, args.t, SpectralConfig(tol=args.tol))
     lines = []
     base = {"alpha": p.alpha, "rho": p.rho, "x": args.x, "t": args.t,
             "n_paths": args.n_paths, "seed": args.seed}
@@ -481,19 +478,24 @@ def _cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, rho_required=True):
+def _add_common(sub, table=True):
+    """--alpha, --rho, --one-sided and --output, plus --format for the
+    subcommands that print a table."""
     sub.add_argument("--alpha", type=_rational, required=True,
                      help="stability index in (0, 2]")
     sub.add_argument("--rho", type=_rational, default=None,
                      help="positivity parameter (rationals accepted)")
-    if rho_required:
-        sub.add_argument("--one-sided", choices=("negative", "positive"),
-                         default=None, dest="one_sided",
-                         help="derive rho for a spectrally one-sided "
-                              "process instead of passing --rho")
+    sub.add_argument("--one-sided", choices=("negative", "positive"),
+                     default=None, dest="one_sided",
+                     help="derive rho for a spectrally one-sided "
+                          "process instead of passing --rho")
     sub.add_argument("--output", "-o", default=None,
                      help="write here atomically instead of stdout")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    if table:
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_tol(sub):
     sub.add_argument("--tol", type=float, default=1e-8,
                      help="target accuracy for spectral quadratures")
 
@@ -546,12 +548,14 @@ def _build_parser():
 
     s = subs.add_parser("survival", help="first-exit survival probability")
     _add_common(s)
+    _add_tol(s)
     s.add_argument("--x", type=_axis, required=True)
     s.add_argument("--t", type=_axis, required=True)
     s.set_defaults(handler=_cmd_survival)
 
     s = subs.add_parser("density", help="killed transition density")
     _add_common(s)
+    _add_tol(s)
     s.add_argument("--x", type=_axis, required=True)
     s.add_argument("--y", type=_axis, required=True)
     s.add_argument("--t", type=_axis, required=True)
@@ -560,6 +564,7 @@ def _build_parser():
     s = subs.add_parser("transform", help="generalized sine transform of "
                                           "a built-in test function")
     _add_common(s)
+    _add_tol(s)
     s.add_argument("--function", default="power-tower",
                    help="power-tower or stretched:<beta>")
     s.add_argument("--dual", action="store_true",
@@ -581,7 +586,8 @@ def _build_parser():
 
     s = subs.add_parser("simulate", help="Monte Carlo vs spectral, JSON "
                                          "lines")
-    _add_common(s)
+    _add_common(s, table=False)
+    _add_tol(s)
     s.add_argument("--x", type=_rational, required=True)
     s.add_argument("--t", type=_rational, required=True)
     s.add_argument("--n-paths", type=int, default=100_000, dest="n_paths")
@@ -591,7 +597,7 @@ def _build_parser():
     s.set_defaults(handler=_cmd_simulate, special="simulate")
 
     s = subs.add_parser("verify", help="run the identity suite")
-    _add_common(s)
+    _add_common(s, table=False)
     s.add_argument("--quick", action="store_true",
                    help="skip the slow double-quadrature checks")
     s.set_defaults(handler=_cmd_verify, special="verify")

@@ -428,26 +428,25 @@ def s2_abs_squared_on_ray(b, c, y, alpha):
         return np.exp(2.0 * _log_abs_s2_line(x, ys, alpha))[back]
 
 
+@vectorized("a", dtype=complex)
 def q_pochhammer(a, q, n):
-    """(a; q)_n for integer n of either sign.
+    """(a; q)_n for integer n of either sign; vectorized over a.
 
     n >= 0: prod_{j=0}^{n-1} (1 - a q^j).
     n < 0:  prod_{j=1}^{-n} (1 - a q^{-j})^{-1}.
     """
     n = int(n)
-    a = complex(a)
     q = complex(q)
+    out = np.ones_like(a)
     if n >= 0:
-        out = 1.0 + 0j
         for j in range(n):
             out *= 1.0 - a * q ** j
         return out
-    out = 1.0 + 0j
+    if q == 0:
+        raise DivisionByZero("q = 0 with negative n")
     for j in range(1, -n + 1):
-        if q == 0:
-            raise DivisionByZero("q = 0 with negative n")
         f = 1.0 - a * q ** (-j)
-        if f == 0:
+        if np.any(f == 0):
             raise DivisionByZero(
                 f"(a;q)_n with n={n} hits a vanishing factor at j={j}")
         out /= f

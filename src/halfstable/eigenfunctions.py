@@ -45,14 +45,14 @@ from typing import Optional
 import numpy as np
 from scipy.special import gamma as _gamma_fn, loggamma
 
-from .doublesine import log_s2, s2
-from .errors import DivisionByZero, DomainError
+from .doublesine import log_s2, q_pochhammer, s2
+from .errors import DomainError
 from .model import DoneyClass, StableParams, detect_doney
 from .numerics import (IntegrandProfile, QuadratureResult,
                        integrate_finite_singular, integrate_interval,
                        integrate_oscillatory_decaying,
                        integrate_semi_infinite, vectorized)
-from .profiles import ray_profile
+from .profiles import g_profile
 from .wienerhopf import rotated_sup_density
 
 
@@ -74,18 +74,9 @@ class EigenFn:
             else self.params.dual()
 
 
-def _g_profile(params: StableParams):
-    """The ray profile whose Laplace transform is G.  At the dual
-    parameters it also gives the integral term of
-    ``wienerhopf.rotated_sup_density``."""
-    p = params
-    return ray_profile(p.alpha, 1.0 + p.alpha + 0.5 * p.alpha * p.rho_hat,
-                       0.5 * p.alpha * p.rho - 0.5)
-
-
 def g_func(params: StableParams, x, deriv=0):
     """The completely monotone component G; vectorized over x >= 0."""
-    return _g_profile(params).laplace(x, deriv=deriv)
+    return g_profile(params).laplace(x, deriv=deriv)
 
 
 def _g_coef(params: StableParams) -> float:
@@ -112,7 +103,7 @@ class _Kernel:
         self.freq = np.sin(np.pi * p.rho)
         self.theta0 = 0.5 * np.pi * p.rho * (1.0 - p.alpha * p.rho_hat)
         self.coef_g = _g_coef(p)
-        self.g_spline = _g_profile(p).interp if self.coef_g != 0.0 else None
+        self.g_spline = g_profile(p).interp if self.coef_g != 0.0 else None
 
     def osc(self, v, deriv=0):
         """e^(v cos(pi rho)) sin(v sin(pi rho) + theta0), or its
@@ -292,22 +283,6 @@ def mellin_f_quadrature(fn: EigenFn, z, tol=1e-8) -> QuadratureResult:
                             head.evaluations + tail_osc.evaluations + g_ev)
 
 
-def _qpoch_factors(a, q, n):
-    """q-Pochhammer (a; q)_n for array a, scalar q, integer n."""
-    out = np.ones_like(np.asarray(a), dtype=complex)
-    if n > 0:
-        for j in range(n):
-            out = out * (1.0 - a * q ** j)
-    elif n < 0:
-        for j in range(1, -n + 1):
-            d = 1.0 - a * q ** (-j)
-            if np.any(np.abs(d) < 1e-280):
-                raise DivisionByZero(
-                    "vanishing q-Pochhammer factor in Doney product")
-            out = out / d
-    return out
-
-
 def _doney_class(params: StableParams, cls: Optional[DoneyClass]):
     if cls is None:
         cls = detect_doney(params)
@@ -331,10 +306,10 @@ def doney_integrand(params: StableParams, z, cls: Optional[DoneyClass] = None):
     z = np.asarray(z, dtype=complex)
     q = np.exp(2j * np.pi * alpha)
     qt = np.exp(-2j * np.pi / alpha)
-    num = _qpoch_factors(
+    num = q_pochhammer(
         (-1.0) ** l * z ** alpha * np.exp(1j * np.pi * alpha * (k + 3)),
         q, -k - 2)
-    den = _qpoch_factors(
+    den = q_pochhammer(
         (-1.0) ** (k + 1) * z * np.exp(-1j * np.pi * l / alpha),
         qt, -l + 1)
     return z ** alpha * num / den
@@ -384,12 +359,10 @@ def doney_laplace_f(params: StableParams, z,
         raise DomainError("Re z left of the abscissa of convergence")
     q = np.exp(2j * np.pi * alpha)
     qt = np.exp(-2j * np.pi / alpha)
-    num = _qpoch_factors(
-        np.asarray((-1.0) ** l * z ** alpha
-                   * np.exp(1j * np.pi * alpha * (k + 2))), q, -k - 1)
-    den = _qpoch_factors(
-        np.asarray((-1.0) ** k * z * np.exp(-1j * np.pi * l / alpha)),
-        qt, -l + 1)
+    num = q_pochhammer((-1.0) ** l * z ** alpha
+                       * np.exp(1j * np.pi * alpha * (k + 2)), q, -k - 1)
+    den = q_pochhammer((-1.0) ** k * z * np.exp(-1j * np.pi * l / alpha),
+                       qt, -l + 1)
     return complex(0.5 * np.sqrt(alpha) * s2(alpha * r, alpha)
                    * num / den)
 

@@ -20,8 +20,11 @@ W ~ z^e0 as z -> 0 and W ~ z^einf as z -> inf with
 and relative corrections O(z^{min(1,alpha)}) resp. O(z^{-min(1,alpha)}).
 
 Each profile also serves its Laplace transform from a cubic spline in
-log x (``RayProfile.interp``), built on first use and kept on the
-profile, so ``ray_profile.cache_clear()`` drops both together.
+log x (``RayProfile.interp``) over one fixed range, built once on first
+use and kept on the profile, so ``ray_profile.cache_clear()`` drops both
+together.  ``g_profile`` and ``mu_profile`` name the two profiles the
+package reads: G's, behind the eigenfunctions, and the supremum's mixing
+density mu.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from scipy.special import exp1, gammainc, gammaincc, gamma as _gamma_fn
 
 from .doublesine import _poles_by_column, s2_abs_squared_on_ray
 from .errors import DomainError
+from .model import StableParams
 from .numerics import DOT_BLOCK, panel_nodes, vectorized
 
 
@@ -86,7 +90,7 @@ def upper_gamma(a, x):
     return g
 
 
-_SPLINE_HI = 1e12       # upper edge of the laplace spline, at most
+_SPLINE_HI = 1e12       # upper edge of the laplace spline
 _SPLINE_STEP = 0.006    # its node spacing in log x
 _SERIES_EDGE = 1e-3     # x z_hi up to which laplace sums the Taylor series
 _SERIES_TERMS = 6
@@ -110,8 +114,8 @@ class RayProfile:
     M_k = sum w W z^k (times -z for deriv 1) computed once per profile;
     W >= 0 bounds M_k by z_hi^k M_0, so the dropped terms are below
     1.5e-21 M_0.  ``interp`` serves laplace through a cubic spline in
-    log x on [1e-3 / z_hi, hi], hi <= 1e12, step 0.006, built on first
-    use and kept in the profile's memo: it starts at the series edge, so
+    log x on [1e-3 / z_hi, 1e12], step 0.006, built once on first use
+    and kept in the profile's memo: it starts at the series edge, so
     below it laplace costs only the series.
     """
     alpha: float
@@ -149,32 +153,25 @@ class RayProfile:
     def interp(self, x):
         """laplace(x) (deriv 0) through the profile's cubic spline.
 
-        The spline's upper edge starts at max(64, 1.3 max x) and grows
-        at least 4x whenever a larger argument arrives, but never past
-        1e12, so a profile builds it at most 17 times in all.  Its lower
-        edge is the series edge 1e-3 / z_hi.  Arguments below it take the
-        exact laplace, which is the Taylor series there; arguments above
-        the upper edge take the exact laplace too.
+        The spline covers [1e-3 / z_hi, 1e12] whatever the arguments, so
+        a value never depends on earlier calls.  Arguments below its
+        lower edge, the series edge, take the exact laplace, which is the
+        Taylor series there; arguments above 1e12 take the exact laplace
+        too.
         """
         x = np.asarray(x, dtype=float)
-        hi, spline = self._spline(float(x.max(initial=0.0)))
+        if "spline" not in self._memo:
+            lo = _SERIES_EDGE / self.z_hi
+            grid = np.linspace(np.log(lo), np.log(_SPLINE_HI),
+                               int(np.log(_SPLINE_HI / lo) / _SPLINE_STEP))
+            self._memo["spline"] = CubicSpline(grid,
+                                               self.laplace(np.exp(grid)))
         out = np.empty_like(x)
-        inside = (x >= _SERIES_EDGE / self.z_hi) & (x <= hi)
-        out[inside] = spline(np.log(x[inside]))
+        inside = (x >= _SERIES_EDGE / self.z_hi) & (x <= _SPLINE_HI)
+        out[inside] = self._memo["spline"](np.log(x[inside]))
         if not inside.all():
             out[~inside] = self.laplace(x[~inside])
         return out
-
-    def _spline(self, xmax):
-        hi, spline = self._memo.get("spline", (0.0, None))
-        if spline is None or (xmax > hi and hi < _SPLINE_HI):
-            hi = min(max(64.0, 4.0 * hi, 1.3 * xmax), _SPLINE_HI)
-            lo = _SERIES_EDGE / self.z_hi
-            grid = np.linspace(np.log(lo), np.log(hi),
-                               int(np.log(hi / lo) / _SPLINE_STEP))
-            spline = CubicSpline(grid, self.laplace(np.exp(grid)))
-            self._memo["spline"] = hi, spline
-        return hi, spline
 
     def _grid_dot(self, x, deriv):
         """sum_k e^{-x z_k} zw_k, in blocks of x whose exp temporary
@@ -266,3 +263,20 @@ def ray_profile(alpha, b, q) -> RayProfile:
     einf = q + 0.5 * (1.0 + alpha) - b
     return RayProfile(alpha, b, q, z, w, vals, e0, einf,
                       float(np.exp(-u_edge)), float(np.exp(u_edge)))
+
+
+def g_profile(params: StableParams) -> RayProfile:
+    """The ray profile whose Laplace transform is G.  At the dual
+    parameters it also gives the integral term of
+    ``wienerhopf.rotated_sup_density``."""
+    p = params
+    return ray_profile(p.alpha, 1.0 + p.alpha + 0.5 * p.alpha * p.rho_hat,
+                       0.5 * p.alpha * p.rho - 0.5)
+
+
+def mu_profile(params: StableParams) -> RayProfile:
+    """The ray profile whose Laplace transform is the supremum density
+    up to the factor sin(pi alpha rho)/pi."""
+    p = params
+    return ray_profile(p.alpha, 0.5 + p.alpha + 0.5 * p.alpha * p.rho,
+                       0.5 * p.alpha * p.rho_hat)

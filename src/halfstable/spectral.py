@@ -21,8 +21,9 @@ estimate.  Second, the completely monotone part G of F is
 served by a cubic spline on a dense log grid, because the exact profile
 evaluation costs a ~3000-node dot per point and the matrix kernels
 below need 1e6-1e8 points.  The spline belongs to G's ray profile
-(``RayProfile.interp``): it is built once per parameter set, shared by
-every call, and dropped with the profile by ``ray_profile.cache_clear()``.
+(``RayProfile.interp``): it is built once per parameter set over a fixed
+range, shared by every call, so no value depends on the calls before it,
+and dropped with the profile by ``ray_profile.cache_clear()``.
 Third, integrals that converge only conditionally (the inversion
 Pi Pi_hat u and the eigenfunction check, whose tails decay like 1/lam
 times an oscillation) are split at a finite point and finished with the
@@ -488,10 +489,7 @@ class _TransformKernel:
         return self._dot(lams, 0)
 
     def est_at(self, lams):
-        # fine grid first: the G spline's upper edge depends on the order
-        # of the arguments it meets, so the order shows in the last digits
-        fine = self._dot(lams, 1)
-        return _gap(self._dot(lams, 0), fine)
+        return _gap(self._dot(lams, 0), self._dot(lams, 1))
 
 
 @vectorized("lam")

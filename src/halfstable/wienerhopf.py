@@ -30,7 +30,7 @@ up a residue from the pole pair at e^(+-i pi (1/alpha - rho)), giving
         - (sin(pi alpha rho)/pi) (e^(i pi rho) Ghat'(x) + Ghat(x)),
 
 where Ghat is the G profile of the dual parameters (rho and rho_hat
-swapped; see ``eigenfunctions``): the continued measure is
+swapped; see ``profiles.g_profile``): the continued measure is
 (sin(pi alpha rho)/pi) (e^(i pi rho) z - 1) times Ghat's ray weight
 z^(alpha rho_hat/2 - 1/2) |s2(1 + alpha + alpha rho/2 + i alpha
 log(z)/(2 pi))|^2.  That is what ``rotated_sup_density`` evaluates
@@ -48,10 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .doublesine import SurfacePoint, log_s2, s2, s2_abs_squared_on_ray
-from .errors import DomainError
+from .errors import DomainError, NonConvergence
 from .model import StableParams, psi
-from .numerics import panel_nodes, vectorized
-from .profiles import ray_profile
+from .numerics import integrate_finite_singular, vectorized
+from .profiles import g_profile, mu_profile
 
 _ATOM_EPS = 1e-14  # |alpha rho - 1| below this means a degenerate mixture
 
@@ -182,12 +182,6 @@ def mu_residue(params: StableParams, sign=+1):
     return mag * np.exp(phase)
 
 
-def _mu_profile(params: StableParams):
-    return ray_profile(params.alpha,
-                       0.5 + params.alpha + 0.5 * params.alpha * params.rho,
-                       0.5 * params.alpha * params.rho_hat)
-
-
 @vectorized("x")
 def sup_density(params: StableParams, x):
     """Density of the supremum at an exponential time, on (0, inf).
@@ -203,7 +197,7 @@ def sup_density(params: StableParams, x):
     if abs(alpha * r - 1.0) < _ATOM_EPS:
         return np.exp(-x)
     return (np.sin(np.pi * alpha * r) / np.pi) \
-        * _mu_profile(params).laplace(x)
+        * mu_profile(params).laplace(x)
 
 
 def inf_density(params: StableParams, x):
@@ -241,9 +235,7 @@ def rotated_sup_density(params: StableParams, x, sign=+1):
 
     c = np.sin(np.pi * alpha * r) / np.pi
     if abs(c) > 1e-15:
-        # imported here: eigenfunctions imports this module
-        from .eigenfunctions import _g_profile
-        prof = _g_profile(params.dual())
+        prof = g_profile(params.dual())
         out -= c * (rot * prof.laplace(x, deriv=1) + prof.laplace(x))
     return out
 
@@ -254,43 +246,52 @@ def h_q_density(params: StableParams, q, x, y, z):
     q^(2/alpha) f_inf((x - z) q^(1/alpha)) f_sup((y - z) q^(1/alpha)),
     defined for z < min(x, y) with x > 0.
     """
-    if q <= 0:
-        raise DomainError("q must be positive")
-    # written so that a nan q fails the comparison too
-    if not 2.0 * np.log(q) / params.alpha < np.log(np.finfo(float).max):
-        raise DomainError(f"q = {q:g} is too large: q^(2/alpha) overflows")
     if x <= 0:
         raise DomainError("x must be positive")
     zz = np.asarray(z, dtype=float)
     if np.any(zz >= min(x, y)):
         raise DomainError("need z < min(x, y)")
+    return _h_q(params, q, np.asarray(x) - zz, np.asarray(y) - zz)
+
+
+def _h_q(params: StableParams, q, dx, dy):
+    """h_q_density at the distances dx = x - z, dy = y - z."""
+    if q <= 0:
+        raise DomainError("q must be positive")
+    # written so that a nan q fails the comparison too
+    if not 2.0 * np.log(q) / params.alpha < np.log(np.finfo(float).max):
+        raise DomainError(f"q = {q:g} is too large: q^(2/alpha) overflows")
     s = q ** (1.0 / params.alpha)
-    return q ** (2.0 / params.alpha) \
-        * inf_density(params, (np.asarray(x) - zz) * s) \
-        * sup_density(params, (np.asarray(y) - zz) * s)
+    return q ** (2.0 / params.alpha) * inf_density(params, dx * s) \
+        * sup_density(params, dy * s)
 
 
 def resolvent_density(params: StableParams, q, x, y):
     """q-resolvent density r_q(x, y) of the process killed at first exit
     from the positive half-line: (1/q) int_0^min(x,y) H_q(x, y, z) dz.
 
-    The integrand is singular at z -> min(x, y) like (min - z)^(g - 1)
-    with g = alpha rho_hat (x <= y) or alpha rho (x > y); geometric
-    panels toward that endpoint resolve it.
+    In v = min(x, y) - z the integrand is singular at v = 0 like
+    v^(g - 1) with g = alpha rho_hat (x < y) or alpha rho (x > y), and
+    like v^(alpha - 2) on the diagonal; the densities are evaluated at
+    x - min + v and y - min + v, so v near 0 never rounds into the
+    endpoint.  Raises NonConvergence when the quadrature does not
+    converge.
     """
-    if q <= 0:
-        raise DomainError("q must be positive")
     if x <= 0 or y <= 0:
         raise DomainError("x and y must be positive")
     alpha = params.alpha
-    m = min(x, y)
-    gexp = alpha * params.rho_hat if x <= y else alpha * params.rho
     if x == y and alpha <= 1.0:
         raise DomainError(
             "resolvent density diverges on the diagonal for alpha <= 1")
-    # v = m - z; v in (0, m], singularity v^(gexp-1) at v = 0
-    v0 = 1e-13 * m
-    edges = np.geomspace(v0, m, 72)
-    v, w = panel_nodes(edges, 16)
-    vals = h_q_density(params, q, x, y, m - v)
-    return float(np.sum(w * vals)) / q
+    m = min(x, y)
+    if x == y:
+        expo = alpha - 2.0
+    else:
+        expo = alpha * (params.rho_hat if x < y else params.rho) - 1.0
+    res = integrate_finite_singular(
+        lambda v: _h_q(params, q, x - m + v, y - m + v), m, expo)
+    if not res.converged:
+        raise NonConvergence(
+            f"resolvent quadrature error estimate "
+            f"{res.abs_error_estimate:.2e} above tolerance")
+    return float(res.value) / q

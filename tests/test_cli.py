@@ -49,6 +49,18 @@ def test_budget_error_maps_to_exit_4():
     assert "budget" in res.stderr
 
 
+def test_tol_is_an_option_only_where_it_is_read():
+    res = run_cli("phi", "--alpha", "1.5", "--rho", "0.55", "--z", "2",
+                  "--tol", "1e-3")
+    assert res.returncode == 2
+    assert "--tol" in res.stderr
+    # simulate hands it to its spectral survival, which refuses tol >= 1
+    res = run_cli("simulate", "--alpha", "1.5", "--rho", "0.6", "--x", "1",
+                  "--t", "1", "--n-paths", "1000", "--tol", "2")
+    assert res.returncode == 3, res.stderr
+    assert "tol" in res.stderr
+
+
 def test_s2_special_value_full_precision():
     res = run_cli("s2", "--alpha", "1.7", "--z", "1")
     assert res.returncode == 0

@@ -9,14 +9,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from halfstable import StableParams, survival
-from halfstable.eigenfunctions import _g_profile
-from halfstable.profiles import _SPLINE_HI
+from halfstable.profiles import _SERIES_EDGE, _SPLINE_HI, g_profile
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.2, 1.5, 2.0])
 @pytest.mark.parametrize("deriv", [0, 1])
 def test_series_branch_matches_grid_dot(alpha, deriv):
-    prof = _g_profile(StableParams(alpha, 0.5))
+    prof = g_profile(StableParams(alpha, 0.5))
     # G'(0) diverges, so deriv 1 stays off x = 0; below alpha = 1 the
     # grid reaches past e^19, and the points shrink with its edge
     x = np.array([0.0, 1e-30, 1e-20, 1e-13, 5e-12][deriv:]) \
@@ -34,7 +33,7 @@ def test_series_branch_matches_grid_dot(alpha, deriv):
 def test_laplace_finite_at_tiny_x(alpha, rho, deriv):
     # x^-(alpha+1+deriv) overflows below x ~ 1e-123 while the lower
     # incomplete gamma underflows; the low tail must not turn that into nan
-    prof = _g_profile(StableParams(alpha, rho))
+    prof = g_profile(StableParams(alpha, rho))
     x = np.array([1e-300, 1e-200])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -65,14 +64,15 @@ def test_survival_below_alpha_1_against_wide_grid(alpha, rho):
 
 
 def test_spline_edge_stops_at_its_ceiling():
-    # past the ceiling the exact laplace serves, so growing arguments no
-    # longer rebuild the spline (up to 1e300 that was ~500 rebuilds); a
-    # copy with its own memo keeps the cached profile's spline as it was
-    prof = replace(_g_profile(StableParams(1.5, 0.55)), _memo={})
+    # the spline spans [series edge, 1e12] whatever the first arguments;
+    # past 1e12 the exact laplace serves, and no later argument rebuilds
+    # it.  A copy with its own memo keeps the cached profile's spline.
+    prof = replace(g_profile(StableParams(1.5, 0.55)), _memo={})
     x = np.array([1.0, 1e13, 1e100, 1e300])
     got = prof.interp(x)
     spline = prof._memo["spline"]
-    assert spline[0] == _SPLINE_HI
+    assert_allclose(np.exp(spline.x[[0, -1]]),
+                    [_SERIES_EDGE / prof.z_hi, _SPLINE_HI], rtol=1e-12)
     prof.interp(np.array([1e200, 1e301]))
     assert prof._memo["spline"] is spline
     assert_allclose(got[1:], prof.laplace(x[1:]), rtol=1e-15)

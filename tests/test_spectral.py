@@ -16,8 +16,9 @@ from scipy.special import erf
 from halfstable import DomainError, StableParams
 from halfstable.errors import NonConvergence
 from halfstable.numerics import integrate_interval, panel_nodes
-from halfstable.eigenfunctions import _g_profile
-from halfstable.profiles import _SERIES_EDGE, RayProfile, ray_profile
+from halfstable import profiles
+from halfstable.profiles import (_SERIES_EDGE, RayProfile, g_profile,
+                                 ray_profile)
 from halfstable.spectral import (SpectralConfig, TestFunction, eigen_check,
                                  pi_hat_transform, pi_round_trip,
                                  pi_transform, semigroup_apply, survival,
@@ -269,7 +270,7 @@ def test_g_spline_is_built_once_per_profile(p_generic, monkeypatch):
     seen = _record_laplace_args(monkeypatch)
     first = survival(p_generic, 1.0, 1.0)
     # the spline starts at the profile's series edge
-    edge = _SERIES_EDGE / _g_profile(p_generic).z_hi
+    edge = _SERIES_EDGE / g_profile(p_generic).z_hi
     args = np.concatenate(seen)
     assert np.sum(args >= edge) >= 1000  # the spline build
     seen.clear()
@@ -285,7 +286,33 @@ def test_cache_clear_drops_the_g_spline(p_generic, monkeypatch):
     seen = _record_laplace_args(monkeypatch)
     after = survival(p_generic, 0.7, 2.0)
     assert np.sum(np.concatenate(seen) >= 1e-12) >= 1000  # rebuilt
-    assert_allclose(after, before, rtol=1e-14)
+    assert after == before
+
+
+def test_each_g_spline_is_built_once_whatever_the_arguments(p_generic,
+                                                          monkeypatch):
+    ray_profile.cache_clear()
+    built = []
+    exact = profiles.CubicSpline
+
+    def counting(*args, **kw):
+        built.append(args[0].size)
+        return exact(*args, **kw)
+
+    monkeypatch.setattr(profiles, "CubicSpline", counting)
+    # later calls bring G arguments past those of the first call; x = 2
+    # is about the largest survival takes at (0.3, 0.5) before it refuses
+    slow = StableParams(0.3, 0.5)
+    survival(slow, 1.0, 1.0)
+    survival(slow, 2.0, 1.0)
+    survival(p_generic, 1.0, 1.0)
+    survival(p_generic, 1e3, 1.0)
+    transition_density(p_generic, 1.0, np.linspace(0.5, 20.0, 40), 1.0)
+    # the density reads the G profile of the dual parameters too
+    used = (g_profile(slow), g_profile(p_generic),
+            g_profile(p_generic.dual()))
+    assert all("spline" in prof._memo for prof in used)
+    assert len(built) == len(used)
 
 
 @pytest.mark.parametrize("alpha, rho", [(0.37, 0.95), (1.02, 0.97)])

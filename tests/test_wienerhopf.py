@@ -240,6 +240,31 @@ def test_resolvent_against_scipy_quadrature(p_generic):
                     rtol=1e-6)
 
 
+@pytest.mark.parametrize("alpha,rho,want", [(0.5, 0.9, 0.11726),
+                                             (0.8, 0.9, 0.20610)])
+def test_resolvent_with_a_strong_endpoint_singularity(alpha, rho, want):
+    # alpha rho_hat = 0.05 resp. 0.08: 22% resp. 9% of the mass sits
+    # within 1e-13 of z = min(x, y).  QUADPACK's algebraic weight is the
+    # reference, with the densities taken at the distances x - z and
+    # y - z, since min(x, y) - v rounds to min(x, y) for tiny v; at q = 1
+    # H is the plain product of the two densities.
+    p = StableParams(alpha, rho)
+    x, y = 1.0, 2.0
+    g = alpha * p.rho_hat
+
+    def smooth_part(v):
+        v = max(v, 1e-300)
+        return float(inf_density(p, v) * sup_density(p, y - x + v)) \
+            * v ** (1.0 - g)
+
+    val, _ = integrate.quad(smooth_part, 0.0, x, weight="alg",
+                            wvar=(g - 1.0, 0.0), limit=400, epsabs=1e-14,
+                            epsrel=1e-13)
+    got = resolvent_density(p, 1.0, x, y)
+    assert_allclose(got, val, rtol=1e-10)
+    assert abs(got - want) < 1e-5
+
+
 def test_resolvent_dual_symmetry(p_generic):
     got = resolvent_density(p_generic, 0.7, 1.0, 2.0)
     swapped = resolvent_density(p_generic.dual(), 0.7, 2.0, 1.0)
