@@ -71,7 +71,7 @@ import numpy as np
 from scipy.special import sici
 
 from .errors import DivisionByZero, DomainError, HalfstableError, PoleProximity
-from .numerics import panel_nodes, vectorized
+from .numerics import blocked, panel_nodes, vectorized
 
 POLE_RADIUS = 1e-8
 MAX_LADDER_STEPS = 10_000
@@ -187,9 +187,7 @@ def _log_s2_quadrature(z, alpha):
     a = 1.0 + alpha - 2.0 * z
     rmin = float(min(np.min(z.real), np.min(1 + alpha - z.real), 1.0))
     s, ws, big_t = _panels(a, alpha, rmin, float(np.max(np.abs(a.imag))))
-    rows = max(1, 4_000_000 // s.size)
-    body = np.concatenate([_weight(s, a[i:i + rows], alpha) @ ws
-                           for i in range(0, a.size, rows)])
+    body = blocked(lambda ab: _weight(s, ab, alpha) @ ws, a, s.size)
     return a / (alpha * big_t) - body
 
 
@@ -368,10 +366,7 @@ def _line_transform(x0, y, alpha):
     s, ws, big_t = _panels(a0, alpha, min(x0, 1.0 + alpha - x0, 1.0),
                            float(y.max()))
     we = ws * _weight(s, [a0], alpha)[0]
-    # row chunks keep the cosine table near 2^18 entries for any batch
-    rows = max(1, (1 << 18) // s.size)
-    body = np.concatenate([np.cos(np.outer(y[i:i + rows], s)) @ we
-                           for i in range(0, y.size, rows)])
+    body = blocked(lambda yb: np.cos(np.outer(yb, s)) @ we, y, s.size)
     si, _ = sici(y * big_t)
     tail = np.cos(y * big_t) / big_t - y * (0.5 * np.pi - si)
     return body - (a0 / alpha) * tail

@@ -261,7 +261,7 @@ def mellin_f_quadrature(fn: EigenFn, z, tol=1e-8) -> QuadratureResult:
             tol=tol / 3)
     else:
         tail_osc = integrate_oscillatory_decaying(
-            osc_part, 0.0, kern.freq, tol=tol / 3, start=big_a)
+            osc_part, kern.freq, tol=tol / 3, start=big_a)
 
     cg = kern.coef_g
     if cg != 0.0:

@@ -7,8 +7,8 @@ content.  The two entry points are
   ``IntegrandProfile`` describing decay class, endpoint singularity and
   oscillation scale.  Adaptive two-level Gauss-Legendre panels on a
   truncated / transformed axis, refined in rounds: each round calls f
-  on the nodes of all its new panels at once (in blocks of DOT_BLOCK
-  nodes), so f is called about once per round, not once per panel.
+  on the nodes of all its new panels at once, so f is called about
+  once per round, not once per panel.
 
 * ``integrate_oscillatory_decaying``: integral of a decaying oscillation,
   partitioned at the half-period spacing pi/frequency and summed with
@@ -19,7 +19,10 @@ Both return a ``QuadratureResult`` carrying an honest absolute error
 estimate and report budget exhaustion through ``converged=False`` rather
 than raising.  All routines are deterministic: the same inputs produce
 bit-identical outputs.  ``vectorized`` is the package's one scalar-in,
-scalar-out rule for functions vectorized over a point argument.
+scalar-out rule for functions vectorized over a point argument, and
+``blocked`` its one way to cut a large batch: every kernel dot and
+every integrand call of the package goes through it, so no temporary
+holds more than DOT_BLOCK entries (or one row).
 """
 
 from __future__ import annotations
@@ -34,11 +37,21 @@ import numpy as np
 from .errors import NotIntegrable
 
 DEFAULT_TOL = 1e-10
-# Entries of one temporary in a blocked evaluation: a matrix dot takes
-# rows in blocks of at most this many entries, and the adaptive driver
-# hands its integrand at most this many nodes per call, so a large
-# batch never allocates its temporaries all at once.
+# Entries of one temporary in a blocked evaluation (see ``blocked``).
 DOT_BLOCK = 2 ** 15
+
+
+def blocked(fn, a, width=1):
+    """fn(a), evaluated on consecutive slices of the 1-d array a.
+
+    Each slice has at most max(1, DOT_BLOCK // width) entries, so when
+    fn builds ``width`` entries per entry of a (one row of a kernel
+    dot), a large batch never allocates its temporaries all at once.
+    The results are concatenated along their first axis.
+    """
+    rows = max(1, DOT_BLOCK // width)
+    return np.concatenate([fn(a[i:i + rows])
+                           for i in range(0, a.size, rows)])
 
 
 def vectorized(arg, dtype=float):
@@ -66,15 +79,16 @@ def vectorized(arg, dtype=float):
     return decorate
 
 
-_DECAY_CLASSES = ("super_exponential", "exponential", "power")
+_DECAY_CLASSES = ("exponential", "power")
 
 
 @dataclass(frozen=True)
 class IntegrandProfile:
     """How an integrand behaves at the two ends of (0, inf).
 
-    decay: one of "super_exponential", "exponential", "power".
-    rate: for the exponential classes, f = O(exp(-rate*x)) with rate > 0;
+    decay: "exponential" or "power".
+    rate: for "exponential", f = O(exp(-rate*x)) with rate > 0 (a
+        faster decay, a Gaussian say, is covered by the same bound);
         for "power", f = O(x**rate) as x -> inf, and rate must be < -1
         for the integral to exist.
     singularity: f ~ x**singularity as x -> 0+, must be > -1.
@@ -130,14 +144,14 @@ def _adaptive_panels(f, edges, tol, max_evals):
     """Adaptive bisection refinement starting from the given panel edges.
 
     Each round evaluates f on the 12- and 24-point Gauss-Legendre nodes
-    of every new panel, one (panels, 36) array, in one call per
-    DOT_BLOCK nodes (one call unless a round has more than 910 panels),
-    so the temporaries of f stay small; a panel's error is the gap
-    between its two estimates.  The round then bisects the fewest
-    largest-error panels whose errors add up to more than total - tol,
-    but no more than the evaluations left in max_evals allow, plus one
-    panel pair.  Returns (value, error, evaluations, converged); a nan
-    anywhere leaves it unconverged.
+    of every new panel, one (panels, 36) array, through ``blocked`` (one
+    call unless a round has more than 910 panels), so the temporaries of
+    f stay small; a panel's error is the gap between its two estimates.
+    The round then bisects the fewest largest-error panels whose errors
+    add up to more than total - tol, but no more than the evaluations
+    left in max_evals allow, plus one panel pair.  Returns (value,
+    error, evaluations, converged); a nan anywhere leaves it
+    unconverged.
     """
     xl, wl = _gl_rule(12)
     xh, wh = _gl_rule(24)
@@ -149,9 +163,7 @@ def _adaptive_panels(f, edges, tol, max_evals):
     while True:
         mid, half = 0.5 * (new_lo + new_hi), 0.5 * (new_hi - new_lo)
         nodes = (mid[:, None] + half[:, None] * x).ravel()
-        blocks = [nodes[i:i + DOT_BLOCK]
-                  for i in range(0, nodes.size, DOT_BLOCK)]
-        fx = np.concatenate([f(b) for b in blocks]).reshape(mid.size, -1)
+        fx = blocked(f, nodes).reshape(mid.size, -1)
         coarse = half * (fx[:, :xl.size] @ wl)
         fine = half * (fx[:, xl.size:] @ wh)
         lo, hi = np.concatenate((lo, new_lo)), np.concatenate((hi, new_hi))
@@ -196,9 +208,13 @@ def _power_endpoint_panels(f, cut, gamma, frequency, tol, max_evals,
     x-breakpoints to force as panel edges (mapped through the
     substitution).  Near v = 0, v**p underflows to 0 (p >= 34 once
     1 + gamma < 0.06), so f is never evaluated below x0 = 1e-300: the
-    panels start at v0 = x0**(1/p).  The mass left out, |x0 f(x0)| /
-    (1 + gamma) for f ~ x**gamma, is extrapolated from x1 = max(x0,
-    first edge**p) and goes into the error estimate, not the value.
+    panels start at v0 = x0**(1/p), and the geometric edges at the
+    larger of v0 and 1e-4 cut**(1/p).  The mass left out, x0 f(x0) /
+    (1 + gamma) for f ~ x**gamma, is extrapolated from the power law
+    at x1 = edges[1]**p and at x2 = edges[2]**p: the value takes the
+    x1 extrapolation, and the gap between the two goes into the error
+    estimate, so an f that is not yet a pure power there (or has
+    another exponent) stays unconverged.
     """
     p = max(1.0, float(np.ceil(2.0 / (1.0 + gamma))))
 
@@ -211,16 +227,16 @@ def _power_endpoint_panels(f, cut, gamma, frequency, tol, max_evals,
         # phase on [0, cut] in x is at most frequency*cut; the adaptive
         # pass resolves it, helped by a denser start
         n_inner += int(min(frequency * cut, 200))
-    edges = np.geomspace(1e-4 * vcut, vcut, n_inner)
+    edges = np.geomspace(max(1e-4 * vcut, v0), vcut, n_inner)
     ex = np.asarray([e ** (1.0 / p) for e in extra if 0.0 < e < cut])
     if ex.size:
         edges = np.union1d(edges, ex)
     edges = np.concatenate(([v0], edges[edges > v0]))
     val, err, evals, _ = _adaptive_panels(g, edges, tol, max_evals)
-    x1 = max(_X_FLOOR, edges[1]**p)
-    fx1 = abs(f(np.array([x1]))[0])
-    err += x1 * fx1 * (_X_FLOOR / x1)**(1.0 + gamma) / (1.0 + gamma)
-    return val, err, evals + 1, err <= tol
+    x12 = np.maximum(_X_FLOOR, edges[1:3]**p)
+    mass = x12 * f(x12) * (_X_FLOOR / x12)**(1.0 + gamma) / (1.0 + gamma)
+    err += abs(mass[0] - mass[1])
+    return val + mass[0], err, evals + 2, err <= tol
 
 
 def integrate_semi_infinite(f, profile, tol=DEFAULT_TOL, max_evals=500_000,
@@ -245,7 +261,7 @@ def integrate_semi_infinite(f, profile, tol=DEFAULT_TOL, max_evals=500_000,
         # Oscillation with an algebraic envelope: plain truncation has no
         # usable cutoff, series acceleration is the reliable route.
         return integrate_oscillatory_decaying(
-            f, 0.0, profile.frequency, tol=tol, max_evals=max_evals)
+            f, profile.frequency, tol=tol, max_evals=max_evals)
 
     total = 0.0
     err_total = 0.0
@@ -267,9 +283,7 @@ def integrate_semi_infinite(f, profile, tol=DEFAULT_TOL, max_evals=500_000,
         evals += tev
         converged &= tok
     else:
-        # Truncation point: exp(-rate*T) below tol with margin.  The
-        # super-exponential class decays faster, so the same bound is
-        # simply conservative there.
+        # Truncation point: exp(-rate*T) below tol with margin.
         upper = (np.log(max(1.0 / max(tol, 1e-300), 1.0)) + 12.0) / profile.rate
         upper = max(upper, 2.0 / profile.rate)
         cut = min(1.0, upper / 2)
@@ -358,26 +372,19 @@ def _averaging_estimate(terms):
     return est, gauge + 4e-16 * max(1.0, abs(est))
 
 
-def integrate_oscillatory_decaying(f, decay_rate, frequency, tol=DEFAULT_TOL,
+def integrate_oscillatory_decaying(f, frequency, tol=DEFAULT_TOL,
                                    max_evals=500_000, start=0.0):
     """Integral over (start, inf) of a decaying oscillation.
 
     The axis is cut at the half-period spacing pi/frequency and the
     sequence of partial sums is accelerated by iterated averaging.
     Works for exponential envelopes (where it is merely cheap) and for
-    algebraic ones (where plain truncation would not converge).  With
-    frequency = 0 there is nothing to alternate, so the routine falls
-    back to plain panel integration using decay_rate.
+    algebraic ones (where plain truncation would not converge).  The
+    frequency must be positive: there is nothing to alternate without
+    it.
     """
-    if frequency < 0:
-        raise ValueError("frequency must be >= 0")
-    if frequency == 0.0:
-        profile = IntegrandProfile("exponential", max(decay_rate, 1e-3))
-        if start == 0.0:
-            return integrate_semi_infinite(f, profile, tol, max_evals)
-        return integrate_semi_infinite(lambda x: f(x + start), profile, tol,
-                                       max_evals)
-
+    if not frequency > 0:
+        raise ValueError("frequency must be > 0")
     h = np.pi / frequency
     order = 16
     max_terms = 2 + int(min(max_evals // order, 100_000))
@@ -386,16 +393,11 @@ def integrate_oscillatory_decaying(f, decay_rate, frequency, tol=DEFAULT_TOL,
     for k in range(max_terms):
         a, b = start + k * h, start + (k + 1) * h
         nodes, weights = panel_nodes(np.array([a, b]), order)
-        term = np.sum(weights * f(nodes))
-        terms.append(term)
+        terms.append(np.sum(weights * f(nodes)))
         evals += order
         if k >= 11:
             est, gauge = _averaging_estimate(terms)
             if gauge < tol / 2:
                 return QuadratureResult(est, gauge, True, evals)
-            if decay_rate > 0 and abs(term) < tol / 8 and k >= 15:
-                # envelope has died off; the plain sum is already there
-                total = np.sum(terms)
-                return QuadratureResult(total, 8 * abs(term), True, evals)
     est, gauge = _averaging_estimate(terms)
     return QuadratureResult(est, gauge, bool(gauge <= tol), evals)

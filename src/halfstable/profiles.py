@@ -39,7 +39,7 @@ from scipy.special import exp1, gammainc, gammaincc, gamma as _gamma_fn
 from .doublesine import _poles_by_column, s2_abs_squared_on_ray
 from .errors import DomainError
 from .model import StableParams
-from .numerics import DOT_BLOCK, panel_nodes, vectorized
+from .numerics import blocked, panel_nodes, vectorized
 
 
 # The master grid in u = log z: Gauss-Legendre panels of width 0.2 (16
@@ -174,18 +174,16 @@ class RayProfile:
         return out
 
     def _grid_dot(self, x, deriv):
-        """sum_k e^{-x z_k} zw_k, in blocks of x whose exp temporary
-        holds at most DOT_BLOCK entries (or one row).  Each block stops at the first
-        node where e^{-x z} is exactly 0 for all its x (x z > 750), so a
-        large x costs only the nodes it sees."""
+        """sum_k e^{-x z_k} zw_k, blocked by ``numerics.blocked``.  Each
+        block stops at the first node where e^{-x z} is exactly 0 for all
+        its x (x z > 750), so a large x costs only the nodes it sees."""
         zw = self._zw(deriv)
-        out = np.empty(x.shape)
-        rows = max(1, DOT_BLOCK // self.z.size)
-        for i in range(0, x.size, rows):
-            xb = x[i:i + rows]
+
+        def block(xb):
             m = np.searchsorted(self.z, 750.0 / xb.min())
-            out[i:i + rows] = np.exp(-np.outer(xb, self.z[:m])) @ zw[:m]
-        return out
+            return np.exp(-np.outer(xb, self.z[:m])) @ zw[:m]
+
+        return blocked(block, x, self.z.size)
 
     def _zw(self, deriv):
         wv = self.w * self.vals

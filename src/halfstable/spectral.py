@@ -14,16 +14,17 @@ lam >= 0 against the kernel F(lam x) (or its dual) built in
 The quadratures share three ingredients.  First, a master grid of
 Gauss-Legendre panels sized to the oscillation frequency of the kernel,
 with a geometric cascade toward 0 so the x^(alpha rho_hat) kink at the
-origin keeps full order; every batched evaluation is a chunked matrix
-dot against that grid.  Each such integral gets a coarse and a fine
-grid (``_grid_pair``), and the gap between the two is its error
-estimate.  Second, the completely monotone part G of F is
-served by a cubic spline on a dense log grid, because the exact profile
-evaluation costs a ~3000-node dot per point and the matrix kernels
-below need 1e6-1e8 points.  The spline belongs to G's ray profile
-(``RayProfile.interp``): it is built once per parameter set over a fixed
-range, shared by every call, so no value depends on the calls before it,
-and dropped with the profile by ``ray_profile.cache_clear()``.
+origin keeps full order; every batched evaluation is a matrix dot
+against that grid, cut into blocks by ``numerics.blocked``.  Each such
+integral gets a coarse and a fine grid (``_grid_pair``), and the gap
+between the two is its error estimate.  Second, the completely
+monotone part G of F is served by a cubic spline on a dense log grid,
+because the exact profile evaluation costs a ~3000-node dot per point
+and the matrix kernels below need 1e6-1e8 points.  The spline belongs
+to G's ray profile (``RayProfile.interp``): it is built once per
+parameter set over a fixed range, shared by every call, so no value
+depends on the calls before it, and dropped with the profile by
+``ray_profile.cache_clear()``.
 Third, integrals that converge only conditionally (the inversion
 Pi Pi_hat u and the eigenfunction check, whose tails decay like 1/lam
 times an oscillation) are split at a finite point and finished with the
@@ -50,7 +51,7 @@ from .doublesine import s2
 from .eigenfunctions import EigenFn, _Kernel, f_eigen
 from .errors import BudgetExceeded, DomainError, NonConvergence
 from .model import StableParams
-from .numerics import (DOT_BLOCK, integrate_interval,
+from .numerics import (blocked, integrate_interval,
                        integrate_oscillatory_decaying, panel_nodes,
                        vectorized)
 
@@ -233,7 +234,7 @@ def _grid_pair(b: float, freq: float, row):
 
     The fine grid has twice the panels.  Each comes as (nodes, row),
     with the caller's weight row(nodes, weights) folded in, so one
-    chunked dot per grid integrates a kernel; ``_gap`` of the two
+    blocked dot per grid integrates a kernel; ``_gap`` of the two
     results is the error estimate.
     """
     return [(nodes, row(nodes, wts)) for nodes, wts in
@@ -244,14 +245,6 @@ def _grid_pair(b: float, freq: float, row):
 def _gap(coarse, fine) -> float:
     """Error estimate of a grid pair: the largest fine - coarse gap."""
     return float(np.max(np.abs(fine - coarse), initial=0.0))
-
-
-def _chunked_dot(kernel, a, nodes, row):
-    """kernel(outer(a, nodes)) @ row, in blocks of a whose outer-product
-    temporary holds at most DOT_BLOCK entries (or one row)."""
-    rows = max(1, DOT_BLOCK // nodes.size)
-    return np.concatenate([kernel(np.outer(a[i:i + rows], nodes)) @ row
-                           for i in range(0, a.size, rows)])
 
 
 def _check_defined(params: StableParams, need: str):
@@ -273,25 +266,39 @@ def survival(params: StableParams, x: float, t: float,
 
     Evaluated in s = log(lam); the kernel decays like e^(alpha rho_hat s)
     on the left and the e^(-t lam^alpha) factor cuts the right end.  The
-    raw quadrature value is returned; values outside [0, 1] (possible at
-    loose tolerances) trigger a warning, not clipping.
+    integral starts at s_lo, where the integrand h is below tol e^-7 or,
+    if that comes first, x lam = 1e-300; the power-law rest h(s_lo) /
+    (alpha rho_hat) is added, unless its extrapolations from s_lo and
+    s_lo + 1 differ by more than tol/3 (NonConvergence).  Where F grows
+    (rho < 1/2), h peaks at e^``_cancellation_cap``; above e^_CANCEL_CAP
+    NonConvergence names it.  Values outside [0, 1] (possible at loose
+    tolerances) trigger a warning, not clipping.
     """
     _check_defined(params, "survival")
     if x <= 0 or t <= 0:
         raise DomainError("x and t must be positive")
     alpha, rh = params.alpha, params.rho_hat
-    s_lo = (np.log(cfg.tol) - 7.0) / (alpha * rh) - np.log(x)
-    if x * np.exp(s_lo) == 0.0:
-        raise NonConvergence(
-            "the lower limit of the lambda integral underflows at "
-            f"alpha rho_hat = {alpha * rh:.3g}")
     fe = _Kernel(params)
+    cap = _cancellation_cap(alpha, t, x * fe.growth)
+    if cap > _CANCEL_CAP:
+        raise NonConvergence(
+            f"the survival integral needs e^{cap:.0f} cancellation at "
+            f"(x, t) = ({x:g}, {t:g}), beyond double precision")
+    rate = alpha * rh
+    s_lo = max((np.log(cfg.tol) - 7.0) / rate, np.log(1e-300)) - np.log(x)
     lam = _cutoff(alpha, t, x * fe.growth, cfg.tol, fe.bound())
     s_hi = np.log(lam)
 
     def integrand(s):
-        return np.exp(-t * np.exp(alpha * s)) * fe(x * np.exp(s))
+        return fe.damped(x * np.exp(s), t * np.exp(alpha * s))
 
+    # the integral below s_lo, extrapolated from s_lo and from s_lo + 1
+    rest = integrand(np.array([s_lo, s_lo + 1.0])) \
+        * np.exp([0.0, -rate]) / rate
+    if abs(rest[0] - rest[1]) > cfg.tol / 3.0:
+        raise NonConvergence(
+            f"the survival integral below lambda = e^{s_lo:.0f} is not yet "
+            f"a power law at alpha rho_hat = {rate:.3g}")
     res = integrate_interval(integrand, s_lo, s_hi, tol=cfg.tol / 3.0,
                              frequency=lam * x * fe.freq)
     if not res.converged:
@@ -299,7 +306,7 @@ def survival(params: StableParams, x: float, t: float,
             f"survival quadrature error estimate {res.abs_error_estimate:.2e}"
             " above tolerance")
     value = (np.sqrt(alpha) / np.pi) * np.real(s2(alpha * rh, alpha)) \
-        * res.value
+        * (res.value + rest[0])
     if not -1e-9 <= value <= 1.0 + 1e-9:
         if value < -cfg.tol or value > 1.0 + cfg.tol:
             warnings.warn(f"survival value {value} outside [0, 1]",
@@ -318,8 +325,11 @@ def _cancellation_cap(alpha: float, t: float, growth: float) -> float:
         return 0.0
     if alpha <= 1.0:
         return np.inf
-    lam_star = (growth / (t * alpha)) ** (1.0 / (alpha - 1.0))
-    return growth * lam_star - t * lam_star ** alpha
+    # t lam_star^alpha = growth lam_star / alpha at the peak lam_star,
+    # which is inf once it overflows (alpha just above 1)
+    with np.errstate(over="ignore"):
+        lam_star = np.exp(np.log(growth / (t * alpha)) / (alpha - 1.0))
+    return (1.0 - 1.0 / alpha) * growth * lam_star
 
 
 _CANCEL_CAP = 22.0
@@ -328,7 +338,7 @@ _CANCEL_CAP = 22.0
 class _HeatKernel:
     """Batched evaluator of p_t(x, .) on a fixed master grid.
 
-    Holds a coarse/fine grid pair once; each call is a chunked matrix
+    Holds a coarse/fine grid pair once; each call is a blocked matrix
     dot of the dual kernel against the precomputed x-row of the coarse
     grid.  eval_with_est returns the fine grid's values and the gap to
     the coarse ones as an error estimate.
@@ -369,8 +379,8 @@ class _HeatKernel:
     def _dot(self, y, which):
         nodes, row = self._grids[which]
         damp = self._damps[which][None, :]
-        return _chunked_dot(lambda v: self.fe_dual.damped(v, damp),
-                            y, nodes, row)
+        return blocked(lambda yb: self.fe_dual.damped(
+            np.outer(yb, nodes), damp) @ row, y, nodes.size)
 
     def __call__(self, y):
         return self._dot(y, 0)
@@ -471,18 +481,17 @@ class _TransformKernel:
             "may grow along it despite its declared sector")
 
     def _dot(self, lams, which):
+        def dot(kernel, grids):
+            nodes, row = grids[which]
+            return blocked(lambda lb: kernel(np.outer(lb, nodes)) @ row,
+                           lams, nodes.size)
+
         if not self._rotated:
-            nodes, row = self._grids[which]
-            return np.sqrt(_TWO_OVER_PI) * _chunked_dot(self.fe, lams, nodes,
-                                                        row)
-        k_nodes, k_row = self._k_grids[which]
-        kk = _chunked_dot(lambda v: np.exp(v * self._ray), lams, k_nodes,
-                          k_row)
+            return np.sqrt(_TWO_OVER_PI) * dot(self.fe, self._grids)
+        kk = dot(lambda v: np.exp(v * self._ray), self._k_grids)
         out = np.imag(self._theta * self._phase * kk)
         if self.fe.coef_g != 0.0:
-            m_nodes, m_row = self._m_grids[which]
-            out += self.fe.coef_g * _chunked_dot(self.fe.g_spline, lams,
-                                                 m_nodes, m_row)
+            out += self.fe.coef_g * dot(self.fe.g_spline, self._m_grids)
         return np.sqrt(_TWO_OVER_PI) * out
 
     def __call__(self, lams):
@@ -525,17 +534,17 @@ def pi_hat_transform(params: StableParams, u: TestFunction, lam,
     return _pi_common(_Kernel(params.dual()), u, lam, cfg)
 
 
+@vectorized("x")
 def semigroup_apply(params: StableParams, u: TestFunction, t: float,
                     x, cfg: SpectralConfig = _DEFAULT_CFG):
     """P_t u (x) through the diagonalization: the outer transform of
-    e^(-t lam^alpha) times the dual transform of u.  Vectorized over x
-    (an array input shares one inner transform and one lam grid)."""
+    e^(-t lam^alpha) times the dual transform of u.  Vectorized over x:
+    every x shares one inner transform and its error estimate, and runs
+    one adaptive lam integral of its own."""
     _check_defined(params, "diagonalization")
     if u.class_tag != "x_alpha_member":
         raise DomainError("semigroup_apply needs an x_alpha_member input")
-    scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs <= 0) or t <= 0:
+    if np.any(x <= 0) or t <= 0:
         raise DomainError("x and t must be positive")
     alpha = params.alpha
     fe = _Kernel(params)
@@ -543,30 +552,18 @@ def semigroup_apply(params: StableParams, u: TestFunction, t: float,
     kern = _TransformKernel(_Kernel(params.dual()), u, lam_cut, cfg)
     probes = np.geomspace(lam_cut * 1e-3, lam_cut, 24)
     inner_est = kern.est_at(probes) * lam_cut
-
-    if scalar:
-        x0 = float(xs[0])
-
-        def integrand(lams):
-            return fe(x0 * lams) * np.exp(-t * lams ** alpha) * kern(lams)
-
-        res = integrate_interval(integrand, lam_cut * 1e-8, lam_cut,
-                                 tol=cfg.tol / 3.0,
-                                 frequency=x0 * fe.freq)
+    out = np.empty(x.shape)
+    for i, xi in enumerate(x):
+        res = integrate_interval(
+            lambda lams: fe(xi * lams) * np.exp(-t * lams ** alpha)
+            * kern(lams), lam_cut * 1e-8, lam_cut, tol=cfg.tol / 3.0,
+            frequency=xi * fe.freq)
         if not res.converged or inner_est > 100.0 * cfg.tol:
             raise NonConvergence(
                 f"semigroup quadrature error "
                 f"~{res.abs_error_estimate + inner_est:.2e}")
-        return float(np.sqrt(_TWO_OVER_PI) * res.value)
-
-    freq = float(xs.max()) * fe.freq
-    grids = _grid_pair(lam_cut, freq, lambda nodes, wts: (
-        wts * np.exp(-t * nodes ** alpha) * kern(nodes)))
-    coarse, fine = (_chunked_dot(fe, xs, nodes, row) for nodes, row in grids)
-    est = _gap(coarse, fine) + inner_est
-    if est > 100.0 * cfg.tol:
-        raise NonConvergence(f"semigroup grid error ~{est:.2e}")
-    return np.sqrt(_TWO_OVER_PI) * fine
+        out[i] = res.value
+    return np.sqrt(_TWO_OVER_PI) * out
 
 
 def pi_round_trip(params: StableParams, u: TestFunction, x: float,
@@ -593,7 +590,7 @@ def pi_round_trip(params: StableParams, u: TestFunction, x: float,
     head = integrate_interval(integrand, lam0 * 1e-8, lam0,
                               tol=cfg.tol, frequency=freq)
     tail = integrate_oscillatory_decaying(
-        integrand, 0.0, freq, tol=max(cfg.tol, 1e-9), start=lam0)
+        integrand, freq, tol=max(cfg.tol, 1e-9), start=lam0)
     return float(np.sqrt(_TWO_OVER_PI) * (head.value + tail.value))
 
 
@@ -624,7 +621,7 @@ def eigen_check(params: StableParams, lam: float, t: float, x: float,
     head = integrate_interval(integrand, y0 * 1e-8, y0,
                               tol=cfg.tol, frequency=freq)
     tail = integrate_oscillatory_decaying(
-        integrand, 0.0, freq, tol=max(cfg.tol, 1e-8), start=y0)
+        integrand, freq, tol=max(cfg.tol, 1e-8), start=y0)
     lhs = head.value + tail.value
     rhs = np.exp(-t * lam ** params.alpha) \
         * float(f_eigen(EigenFn(params), lam * x))

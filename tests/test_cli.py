@@ -88,6 +88,14 @@ def test_survival_json_contains_erf():
     assert doc["config"]["alpha"] == "2"
 
 
+def test_survival_at_small_alpha_rho_hat():
+    # x lam reaches 1e-300 before the integrand is small; the rest below
+    # it is added as a power law instead of being refused
+    res = run_cli("survival", "--alpha", "1.02", "--rho", "0.97",
+                  "--x", "1", "--t", "1")
+    assert res.returncode == 0, res.stderr
+
+
 def test_rational_rho_accepted():
     res = run_cli("doney", "--alpha", "1.4", "--rho", "3/7")
     assert res.returncode == 0

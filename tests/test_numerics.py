@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 from halfstable import StableParams, spectral
 from halfstable.errors import NotIntegrable
-from halfstable.numerics import (IntegrandProfile, integrate_finite_singular,
+from halfstable.numerics import (DOT_BLOCK, IntegrandProfile, blocked,
+                                 integrate_finite_singular,
                                  integrate_interval,
                                  integrate_oscillatory_decaying,
                                  integrate_semi_infinite, panel_nodes)
@@ -28,7 +29,7 @@ def test_plain_exponential():
 def test_gaussian():
     res = integrate_semi_infinite(
         lambda x: np.exp(-x * x),
-        IntegrandProfile("super_exponential", rate=1.0))
+        IntegrandProfile("exponential", rate=1.0))
     _check(res, 0.5 * np.sqrt(np.pi))
 
 
@@ -59,7 +60,7 @@ def test_conditionally_convergent():
     head = integrate_interval(lambda x: np.sinc(x / np.pi), 0.0, 10.0,
                               tol=1e-12, frequency=1.0)
     tail = integrate_oscillatory_decaying(
-        lambda x: np.sin(x) / x, 0.0, 1.0, tol=1e-11, start=10.0)
+        lambda x: np.sin(x) / x, 1.0, tol=1e-11, start=10.0)
     assert tail.converged
     assert_allclose(head.value + tail.value, 0.5 * np.pi, atol=1e-9)
 
@@ -134,18 +135,42 @@ def test_warm_survival_calls_its_integrand_a_few_times(monkeypatch):
     assert 0 < len(calls) < 60
 
 
-@pytest.mark.parametrize("gamma, converged", [(-0.95, True),
-                                              (-0.97, False)])
-def test_endpoint_panels_stay_off_zero(gamma, converged):
-    # x = v**p underflows to 0 for p = 40 and 67; f must never see it,
-    # and the mass below 1e-300, (1e-300)**(1 + gamma) / (1 + gamma),
-    # is 2e-14 resp. 3.3e-8: inside resp. outside the tolerance
+@pytest.mark.parametrize("gamma", [-0.95, -0.97, -0.99, -0.9993])
+def test_endpoint_panels_stay_off_zero(gamma):
+    # x = v**p underflows to 0 for p = 40, 67, 200 and 2858; f must never
+    # see it, and the mass below 1e-300, (1e-300)**(1 + gamma) /
+    # (1 + gamma), up to 881 at gamma = -0.9993, is extrapolated into the
+    # value.  At p = 2858 the panels start at v0 = 0.785, above the usual
+    # first edge 1e-4.
     def f(x):
         assert np.all(x > 0)
         return x ** gamma
 
     res = integrate_finite_singular(f, 1.0, gamma)
-    assert res.converged is converged
-    truth = 1.0 / (1.0 + gamma)
-    assert abs(res.value - truth) <= 1.01 * res.abs_error_estimate
-    assert res.abs_error_estimate >= 1e-300 ** (1.0 + gamma) / (1.0 + gamma)
+    assert res.converged
+    assert abs(res.value - 1.0 / (1.0 + gamma)) <= 1e-12
+
+
+def test_endpoint_mass_catches_a_wrong_exponent():
+    # declared x**-0.97 while x**-0.99 dominates below 1e-300: the two
+    # extrapolations of the mass there disagree
+    res = integrate_finite_singular(lambda x: x ** -0.97 + x ** -0.99, 1.0,
+                                    -0.97)
+    assert not res.converged
+    assert res.abs_error_estimate > 1e-4
+
+
+@pytest.mark.parametrize("width", [1, 37, 2 * DOT_BLOCK])
+def test_blocked_matches_one_evaluation(width):
+    # rows of `width` columns: blocks of DOT_BLOCK // width rows, or one
+    # row when a row alone is wider than DOT_BLOCK.  A row sum, not a
+    # BLAS dot, so each row's value cannot depend on the rows beside it.
+    cols = np.linspace(0.0, 1.0, width)
+    rows = max(1, DOT_BLOCK // width)
+    for n in {max(1, rows - 1), rows, rows + 1}:
+        a = np.linspace(0.5, 2.0, n)
+
+        def fn(b):
+            return np.sum(np.exp(-np.outer(b, cols)) * cols, axis=1)
+
+        assert np.array_equal(blocked(fn, a, width), fn(a))
