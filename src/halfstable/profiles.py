@@ -19,9 +19,12 @@ W ~ z^e0 as z -> 0 and W ~ z^einf as z -> inf with
 
 and relative corrections O(z^{min(1,alpha)}) resp. O(z^{-min(1,alpha)}).
 
-Each profile also serves its Laplace transform from a cubic spline in
-log x (``RayProfile.interp``) over one fixed range, built once on first
-use and kept on the profile, so ``ray_profile.cache_clear()`` drops both
+Below x z_hi = 1e-3 the Laplace transform is a closed form: six powers
+of x plus one term Gamma(a) x^-a, with coefficients memoized per
+profile, so no incomplete gamma is evaluated there.  Each profile also
+serves its Laplace transform from a cubic spline in log x
+(``RayProfile.interp``) over one fixed range, built once on first use
+and kept on the profile, so ``ray_profile.cache_clear()`` drops both
 together.  ``g_profile`` and ``mu_profile`` name the two profiles the
 package reads: G's, behind the eigenfunctions, and the supremum's mixing
 density mu.
@@ -35,6 +38,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import exp1, gammainc, gammaincc, gamma as _gamma_fn
+from scipy.special import zeta as _zeta
 
 from .doublesine import _poles_by_column, s2_abs_squared_on_ray
 from .errors import DomainError
@@ -104,19 +108,57 @@ def _series(coefs, y):
     return acc
 
 
+def _gamma_pair(a, n, zhi):
+    """x -> Gamma(a) x^-a - (-1)^n z_hi^(a+n) x^n / (n! (a+n)), or just
+    Gamma(a) x^-a for n < 0, for x z_hi <= 1e-3 and a + n not 0.
+
+    With eps = a + n the two terms are each O(1/eps) and their sum is
+    not.  Writing Gamma(a) = (-1)^n R / (n! eps), R = Gamma(1 + eps) /
+    prod_{j<=n} (1 - eps/j), the sum is (-1)^n x^n z_hi^eps / n! times
+    expm1(eps (l - L)) / eps, with l = log(R) / eps from the series of
+    log Gamma(1 + eps) and L = log(x z_hi).  That form holds full
+    precision while eps |L| < 1; beyond it the terms differ enough that
+    the direct sum does, and pow keeps x^-a exact where exp would not.
+    """
+    gam = _gamma_fn(a)
+    if n < 0:
+        def direct(x):
+            with np.errstate(over="ignore"):  # Gamma(a) x^-a = inf
+                return gam * x ** (-a)
+        return direct
+    eps = a + n
+    k = np.arange(2, 64)
+    # log Gamma(1 + eps) / eps = -euler + sum_k (-1)^k zeta(k) eps^(k-1)/k
+    ell = (-np.euler_gamma + np.sum((-1.0) ** k * _zeta(k) * eps ** (k - 1)
+                                    / k)
+           - sum(np.log1p(-eps / j) for j in range(1, n + 1)) / eps)
+    fac = (-1.0) ** n * zhi ** eps / _gamma_fn(n + 1.0)
+
+    def pair(x):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            shift = -eps * np.log(x * zhi)  # -eps L
+            near = fac * x ** n * np.expm1(eps * ell + shift) / eps
+            far = gam * x ** (-a) - fac * x ** n / eps
+        return np.where(np.abs(shift) < 1.0, near, far)
+
+    return pair
+
+
 @dataclass(frozen=True)
 class RayProfile:
     """W tabulated on the master grid, with its Laplace transform.
 
     ``laplace`` is exact up to rounding: the grid dot plus the two
-    closed-form tails.  Where x z_hi <= 1e-3 the grid dot is summed as
-    its Taylor series sum_k (-x)^k M_k / k!, k < 6, with the moments
-    M_k = sum w W z^k (times -z for deriv 1) computed once per profile;
-    W >= 0 bounds M_k by z_hi^k M_0, so the dropped terms are below
-    1.5e-21 M_0.  ``interp`` serves laplace through a cubic spline in
-    log x on [1e-3 / z_hi, 1e12], step 0.006, built once on first use
-    and kept in the profile's memo: it starts at the series edge, so
-    below it laplace costs only the series.
+    closed-form tails.  Where x z_hi <= 1e-3 the grid dot is its Taylor
+    series sum_k (-x)^k M_k / k!, k < 6, with the moments M_k = sum w W
+    z^k (times -z for deriv 1) computed once per profile; W >= 0 bounds
+    M_k by z_hi^k M_0, so the dropped terms are below 1.5e-21 M_0.  The
+    two tails have series there too, and the three merge into one
+    closed form (``_small_branch``), sum_k c_k x^k + s Gamma(a) x^-a.
+    ``interp`` serves laplace through a cubic spline in log x on
+    [1e-3 / z_hi, 1e12], step 0.006, built once on first use and kept
+    in the profile's memo: it starts at the series edge, so below it
+    laplace costs only the closed form.
     """
     alpha: float
     b: float
@@ -143,11 +185,18 @@ class RayProfile:
         out = np.empty(x.shape, dtype=float)
         with np.errstate(over="ignore"):  # x z_hi = inf is not small
             small = x * self.z_hi <= _SERIES_EDGE
+        closed = self._small_branch(deriv)
+        # the closed form holds both tails; the series (at a nonpositive
+        # integer a) and the grid dot take them from _low/_high_tail
+        tails = ~small if closed else np.ones(x.shape, dtype=bool)
         if np.any(small):
-            out[small] = _series(self._moments(deriv), -x[small])
+            out[small] = closed(x[small]) if closed \
+                else _series(self._moments(deriv), -x[small])
         if not np.all(small):
             out[~small] = self._grid_dot(x[~small], deriv)
-        out += self._low_tail(x, deriv) + self._high_tail(x, deriv)
+        if np.any(tails):
+            out[tails] += self._low_tail(x[tails], deriv) \
+                + self._high_tail(x[tails], deriv)
         return out
 
     def interp(self, x):
@@ -197,6 +246,47 @@ class RayProfile:
             self._memo[key] = [zw @ self.z ** k / _gamma_fn(k + 1.0)
                                for k in range(_SERIES_TERMS)]
         return self._memo[key]
+
+    def _small_branch(self, deriv):
+        """laplace below the series edge as a function of x, or None.
+
+        For x z_hi <= 1e-3 the grid dot (its Taylor series), the low
+        tail (its series) and the high tail x^-a Gamma(a, z_hi x) =
+        Gamma(a) x^-a - sum_k (-1)^k z_hi^(a+k) x^k / (k! (a+k)), a =
+        einf + 1 + deriv, merge into sum_k c_k x^k + s Gamma(a) x^-a,
+        k < 6, with s = -1 for deriv 1; the c_k are memoized per deriv.
+        Below a = 1/2 the tail term k = n nearest to -a cancels against
+        Gamma(a) x^-a (``_gamma_pair`` sums the two).  A nonpositive
+        integer a (alpha = 2, and the one-sided edges where a rounds to
+        exactly -1 or 0) has no such form, and None sends it the
+        series-plus-tails route.
+        """
+        key = ("small", deriv)
+        if key in self._memo:
+            return self._memo[key]
+        a = self.einf + 1.0 + deriv
+        if a <= 0.0 and a == np.round(a):
+            self._memo[key] = None
+            return None
+        sign = -1.0 if deriv == 1 else 1.0
+        zlo, zhi = self.z_lo, self.z_hi
+        a_lo = self.e0 + 1.0 + deriv
+        n = int(np.round(-a)) if a < 0.5 else -1
+        coefs = [(-1.0) ** k * (m + sign * (
+            zlo ** (a_lo + k) / (a_lo + k)
+            - (0.0 if k == n else zhi ** (a + k) / (a + k)))
+            / _gamma_fn(k + 1.0))
+            for k, m in enumerate(self._moments(deriv))]
+        pair = _gamma_pair(a, n, zhi)
+
+        def small(x):
+            if a >= 0.0 and np.any(x == 0.0):
+                raise DomainError(
+                    "tail of the profile integral diverges at x = 0")
+            return _series(coefs, x) + sign * pair(x)
+
+        self._memo[key] = small
+        return small
 
     def _low_tail(self, x, deriv):
         # int_0^zlo e^{-zx} z^(a-1) dz with a = e0 + deriv + 1: the lower

@@ -17,7 +17,13 @@ with a geometric cascade toward 0 so the x^(alpha rho_hat) kink at the
 origin keeps full order; every batched evaluation is a matrix dot
 against that grid, cut into blocks by ``numerics.blocked``.  Each such
 integral gets a coarse and a fine grid (``_grid_pair``), and the gap
-between the two is its error estimate.  Second, the completely
+between the two is its error estimate.  The transforms sum their
+oscillatory part e^(lam x w) on the same grid taken as a panel lattice
+(``_Lattice``): its uniform panels share their node offsets, so each
+lam costs one exponential per panel plus 16, and only the first
+panel's cascade keeps exponentials of its own.  G's part of the
+transforms, and every part of the heat kernel, stay on the cascade
+grids.  Second, the completely
 monotone part G of F is served by a cubic spline on a dense log grid,
 because the exact profile evaluation costs a ~3000-node dot per point
 and the matrix kernels below need 1e6-1e8 points.  The spline belongs
@@ -41,7 +47,7 @@ extrapolating.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,9 +57,9 @@ from .doublesine import s2
 from .eigenfunctions import EigenFn, _Kernel, f_eigen
 from .errors import BudgetExceeded, DomainError, NonConvergence
 from .model import StableParams
-from .numerics import (blocked, integrate_interval,
-                       integrate_oscillatory_decaying, panel_nodes,
-                       vectorized)
+from .numerics import (IntegrandProfile, blocked, integrate_interval,
+                       integrate_oscillatory_decaying,
+                       integrate_semi_infinite, panel_nodes, vectorized)
 
 _TWO_OVER_PI = 2.0 / np.pi
 
@@ -211,10 +217,9 @@ def _cutoff(alpha: float, t: float, growth: float, tol: float,
     return 1.05 * lam
 
 
-def _panel_grid(b: float, freq: float, n_min: int):
-    """GL nodes/weights on (~0, b]: uniform panels of ~one oscillation
-    period each, plus a geometric cascade of 54 halvings (16 decades)
-    toward the origin."""
+def _panel_count(b: float, freq: float, n_min: int) -> int:
+    """Uniform panels on (0, b]: at least n_min, each at most one
+    oscillation period 2 pi / freq wide; refused past 120000."""
     width = b / n_min
     if freq > 0:
         width = min(width, 2.0 * np.pi / freq)
@@ -223,10 +228,64 @@ def _panel_grid(b: float, freq: float, n_min: int):
         raise BudgetExceeded(
             f"oscillation grid would need {k:.0f} panels; narrow the "
             "frequency range or raise the tolerance")
-    k = int(k)
+    return int(k)
+
+
+def _panel_grid(b: float, freq: float, n_min: int):
+    """GL nodes/weights on (~0, b]: uniform panels of ~one oscillation
+    period each, plus a geometric cascade of 54 halvings (16 decades)
+    toward the origin."""
+    k = _panel_count(b, freq, n_min)
     uni = np.linspace(b / k, b, k)
     geo = uni[0] * 2.0 ** (-np.arange(54, 0, -1, dtype=float))
     return panel_nodes(np.concatenate((geo, uni)))
+
+
+class _Lattice:
+    """sum_j c_j e^(lam r_j w) over the grid of ``_panel_grid`` on
+    (~0, b], for a fixed complex w with Re w <= 0 and lam up to reach.
+
+    The uniform panels p >= 1 form a lattice: panel p is [a_p, a_p +
+    2h], a_p = 2hp, with its 16 Gauss-Legendre nodes at the common
+    offsets h(1 + t_k), so e^(lam r w) = e^(lam a_p w) e^(lam h (1 + t_k)
+    w), and their part costs P + 16 exponentials and one (P, 16) complex
+    product per lam instead of 16 P exponentials.  The first panel keeps
+    the geometric cascade, which resolves an input that is not smooth
+    at 0 (a table, e^(-x^beta)); its nodes with reach r > 1/4 take their
+    own exponentials, and the rest enter as the Taylor series sum_m
+    (lam w)^m sum_j c_j r_j^m / m!, m < 14, whose dropped terms are below
+    (1/4)^14 / 14! = 4e-20 relative.  c_j = row(r_j, weights).
+    """
+
+    def __init__(self, b: float, freq: float, n_min: int, row, w: complex,
+                 reach: float):
+        k = _panel_count(b, freq, n_min)
+        width = b / k
+        corners = np.arange(1, k) * width
+        offsets, wts = panel_nodes(np.array([0.0, width]))
+        nodes = (corners[:, None] + offsets[None, :]).ravel()
+        self._coef = row(nodes, np.tile(wts, k - 1)).reshape(k - 1, -1)
+        self._corners, self._offsets = corners * w, offsets * w
+        cnodes, cwts = panel_nodes(width * 2.0 ** -np.arange(54.0, -1.0, -1.0))
+        crow = row(cnodes, cwts)
+        deep = cnodes * reach <= 0.25
+        self._near, self._near_coef = cnodes[~deep] * w, crow[~deep]
+        terms = np.cumprod(np.outer(cnodes[deep] * w, 1.0 / np.arange(
+            1.0, 14.0)), axis=1)  # (r w)^m / m!, m = 1..13
+        self._taylor = [crow[deep].sum(), *(crow[deep] @ terms)]
+        self._size = corners.size + self._near.size
+
+    def __call__(self, lams):
+        def block(lb):
+            out = np.sum((np.exp(np.outer(lb, self._corners)) @ self._coef)
+                         * np.exp(np.outer(lb, self._offsets)), axis=1)
+            out += np.exp(np.outer(lb, self._near)) @ self._near_coef
+            acc = np.zeros(lb.shape, dtype=complex)
+            for c in reversed(self._taylor):
+                acc = acc * lb + c
+            return out + acc
+
+        return blocked(block, lams, self._size)
 
 
 def _grid_pair(b: float, freq: float, row):
@@ -270,23 +329,28 @@ def survival(params: StableParams, x: float, t: float,
     if that comes first, x lam = 1e-300; the power-law rest h(s_lo) /
     (alpha rho_hat) is added, unless its extrapolations from s_lo and
     s_lo + 1 differ by more than tol/3 (NonConvergence).  Where F grows
-    (rho < 1/2), h peaks at e^``_cancellation_cap``; above e^_CANCEL_CAP
-    NonConvergence names it.  Values outside [0, 1] (possible at loose
-    tolerances) trigger a warning, not clipping.
+    (rho < 1/2), h peaks at e^``_cancellation_cap``.  The real-axis
+    quadrature's error is then at least 2 e^cap eps, so where that
+    exceeds tol/3 (cap above 15.8 at tol 1e-8), or where the real axis
+    does not converge, the oscillation past lam = 1/x leaves the real
+    axis (``_survival_rotated``).  Where x times the lam cutoff overflows,
+    NonConvergence names it before any work.  Values outside [0, 1]
+    (possible at loose tolerances) trigger a warning, not clipping.
     """
     _check_defined(params, "survival")
     if x <= 0 or t <= 0:
         raise DomainError("x and t must be positive")
     alpha, rh = params.alpha, params.rho_hat
     fe = _Kernel(params)
-    cap = _cancellation_cap(alpha, t, x * fe.growth)
-    if cap > _CANCEL_CAP:
+    lam = _cutoff(alpha, t, x * fe.growth, cfg.tol, fe.bound())
+    log_reach = np.log(x) + np.log(lam)
+    if log_reach > _LOG_MAX:
         raise NonConvergence(
-            f"the survival integral needs e^{cap:.0f} cancellation at "
-            f"(x, t) = ({x:g}, {t:g}), beyond double precision")
+            f"x lambda_cut = e^{log_reach:.0f} overflows double precision "
+            f"at (x, t) = ({x:g}, {t:g})")
+    cap = _cancellation_cap(alpha, t, x * fe.growth)
     rate = alpha * rh
     s_lo = max((np.log(cfg.tol) - 7.0) / rate, np.log(1e-300)) - np.log(x)
-    lam = _cutoff(alpha, t, x * fe.growth, cfg.tol, fe.bound())
     s_hi = np.log(lam)
 
     def integrand(s):
@@ -299,19 +363,84 @@ def survival(params: StableParams, x: float, t: float,
         raise NonConvergence(
             f"the survival integral below lambda = e^{s_lo:.0f} is not yet "
             f"a power law at alpha rho_hat = {rate:.3g}")
-    res = integrate_interval(integrand, s_lo, s_hi, tol=cfg.tol / 3.0,
-                             frequency=lam * x * fe.freq)
-    if not res.converged:
+    rotate = cap > np.log(cfg.tol / (6.0 * np.finfo(float).eps))
+    if not rotate:
+        parts = [integrate_interval(integrand, s_lo, s_hi, tol=cfg.tol / 3.0,
+                                    frequency=lam * x * fe.freq)]
+        # near alpha = 1 many periods share the peak, and the real axis
+        # can lose more than e^cap eps
+        rotate = cap > 0.0 and not parts[0].converged
+    if rotate:
+        parts = _survival_rotated(fe, x, t, s_lo, s_hi, cfg.tol / 9.0, cap)
+    if not all(res.converged for res in parts):
+        err = sum(res.abs_error_estimate for res in parts)
         raise NonConvergence(
-            f"survival quadrature error estimate {res.abs_error_estimate:.2e}"
-            " above tolerance")
+            f"survival quadrature error estimate {err:.2e} above tolerance")
     value = (np.sqrt(alpha) / np.pi) * np.real(s2(alpha * rh, alpha)) \
-        * (res.value + rest[0])
+        * (sum(res.value for res in parts) + rest[0])
     if not -1e-9 <= value <= 1.0 + 1e-9:
         if value < -cfg.tol or value > 1.0 + cfg.tol:
             warnings.warn(f"survival value {value} outside [0, 1]",
                           stacklevel=2)
     return float(value)
+
+
+_LOG_MAX = np.log(np.finfo(float).max)
+# Narrowest sector (rad) the rotated survival integral runs in: at 2e-3
+# the ray integral spans r up to ~1e4 at (x, t) = (2, 1) (0.06 s), and
+# the positive edge rho = 1 - 1/alpha has a wider one from alpha =
+# 1.0013 on.
+_MIN_WINDOW = 2e-3
+
+
+def _survival_rotated(fe: _Kernel, x: float, t: float, s_lo: float,
+                      s_hi: float, tol: float, cap: float):
+    """The survival integral of ``survival`` where the real axis would
+    need e^cap cancellation, more than doubles hold, as a list of
+    QuadratureResults, each within tol.
+
+    With osc(x lam) = Im(e^(i theta0) e^(x lam w)), w = e^(i pi rho):
+    on (0, lam1], lam1 = 1/x, the real-axis integrand stays (its growth
+    is at most e); past lam1 the G part stays on the real axis, and the
+    oscillatory part runs along lam = lam1 + r e^(i phi), r >= 0, with
+    phi the midpoint of the window (pi (1/2 - rho), pi / (2 alpha)).  In
+    that sector both e^(-t lam^alpha) and e^(x lam w) decay, and it is
+    open for every alpha > 1 on the admissible rho interval; narrower
+    than _MIN_WINDOW, NonConvergence names the cancellation.
+    """
+    alpha, rho = fe.params.alpha, fe.params.rho
+    window = np.pi * (rho - 0.5 + 0.5 / alpha)
+    if window < _MIN_WINDOW:
+        raise NonConvergence(
+            f"the survival integral needs e^{cap:.0f} cancellation at "
+            f"(x, t) = ({x:g}, {t:g}), more than double precision holds, "
+            f"and the sector that avoids it is {window:.2g} rad wide, "
+            f"below {_MIN_WINDOW:g}")
+    s1 = -np.log(x)
+    head = integrate_interval(
+        lambda s: fe.damped(x * np.exp(s), t * np.exp(alpha * s)),
+        s_lo, s1, tol=tol, frequency=fe.freq)
+    parts = [head]
+    if fe.coef_g != 0.0:
+        parts.append(integrate_interval(
+            lambda s: fe.coef_g * fe.g_spline(x * np.exp(s))
+            * np.exp(-t * np.exp(alpha * s)), s1, s_hi, tol=tol))
+    lam1 = 1.0 / x
+    ray = np.exp(1j * (np.pi * (0.5 - rho) + 0.5 * window))
+    w = np.exp(1j * np.pi * rho)
+
+    def osc(r):
+        lam = lam1 + r * ray
+        return np.exp(x * lam * w - t * lam ** alpha + 1j * fe.theta0) \
+            * ray / lam
+
+    # |e^(x r ray w)| = e^(-x r sin(window/2)), and Re lam^alpha grows at
+    # least like r sin(alpha window/2) past r = 1
+    decay = x * np.sin(0.5 * window) + t * np.sin(0.5 * alpha * window)
+    res = integrate_semi_infinite(
+        osc, IntegrandProfile("exponential", rate=decay, frequency=x + t),
+        tol=tol)
+    return parts + [replace(res, value=np.imag(res.value))]
 
 
 def _cancellation_cap(alpha: float, t: float, growth: float) -> float:
@@ -418,53 +547,67 @@ def transition_density(params: StableParams, x: float, y, t: float,
     return vals
 
 
+# The largest lam, as a multiple of the lam_hi it is built for, at which
+# a _TransformKernel holds full precision.
+_KERNEL_REACH = 3.0
+
+
 class _TransformKernel:
-    """Batched Pi / Pi_hat against a fixed y-grid, valid for lam up to
+    """Batched Pi / Pi_hat against a fixed y-grid, for lam up to 3 times
     the lam_hi it was built for.
 
-    When the oscillatory part of the kernel grows exponentially, its
-    real-axis integral hides a cancellation of relative size
-    exp(growth * lam), which double precision cannot deliver beyond
-    lam of a few tens.  In that regime the oscillatory term is instead
-    integrated on the ray arg y = phi with cos(pi * rho + phi) < 0,
-    where the integrand is uniformly bounded and decays; the completely
-    monotone remainder keeps its well-behaved real-axis grid.  The
-    rotation needs the input analytic on the sector (with decay beating
-    every fixed exponential, which class members guarantee), hence the
-    sector_half_angle check.
+    The kernel is osc + coef_g G, and both parts go the same way
+    whatever the ray.  The oscillatory part is Im(pre sum_j c_j
+    e^(lam r_j w)) on a panel lattice (``_Lattice``): on the real axis
+    w = e^(i pi rho), pre = e^(i theta0) and c_j = w_j u(r_j).  When the
+    oscillation grows exponentially, its real-axis integral hides a
+    cancellation of relative size exp(growth * lam), which double
+    precision cannot deliver beyond lam of a few tens.  In that regime
+    it is instead integrated on the ray arg y = phi with cos(pi rho +
+    phi) < 0: w = e^(i (pi rho + phi)), pre = e^(i (theta0 + phi)) and
+    c_j = w_j u(r_j e^(i phi)).  The rotation needs the input analytic on
+    the sector (with decay beating every fixed exponential, which class
+    members guarantee), hence the sector_half_angle check.  Re w <= 0,
+    so no factor exceeds 1 however large lam is.  The panels are one
+    period wide at lam_hi, which sets the reach: against a grid built
+    for 12 lam_hi, on the real axis at (1.2, 0.5), the kernel is within
+    3e-14 of the largest value in every window of lam_hi up to 3 lam_hi,
+    5e-13 at 4 lam_hi and 4e-7 at 6 lam_hi.  The completely monotone
+    part, which carries the x^(alpha rho_hat) kink, stays on the real
+    axis on a cascade grid pair through the G spline.
     """
 
     def __init__(self, fe: _Kernel, u: TestFunction, lam_hi: float,
                  cfg: SpectralConfig):
         self.fe = fe
-        self._rotated = lam_hi * fe.growth > 0.0
         log_floor = np.log(cfg.tol) - 12.0
-        if not self._rotated:
-            self._grids = _grid_pair(u.support_end(log_floor),
-                                     lam_hi * fe.freq,
-                                     lambda nodes, wts: wts * u(nodes))
-            return
-        if u.class_tag != "x_alpha_member":
-            raise DomainError(
-                "the kernel grows exponentially here; only class members "
-                "can be integrated against it")
-        rho = fe.params.rho
-        phi_min = np.pi * (0.5 - rho)
-        if u.sector_half_angle <= phi_min + 0.05:
-            raise DomainError(
-                "rotating around the growing kernel needs analyticity on "
-                f"a sector wider than {phi_min + 0.05:.3f} rad; this input "
-                f"declares {u.sector_half_angle:.3f}")
-        phi = phi_min + min(0.35, 0.5 * (u.sector_half_angle - phi_min))
-        self._phase = np.exp(1j * phi)
-        self._ray = np.exp(1j * (np.pi * rho + phi))
-        self._theta = np.exp(1j * fe.theta0)
-        self._k_grids = _grid_pair(
-            self._ray_support(u, self._phase, log_floor),
-            lam_hi * abs(self._ray.imag),
-            lambda nodes, wts: wts * u(nodes * self._phase))
+        support = u.support_end(log_floor)
+        if lam_hi * fe.growth > 0.0:
+            if u.class_tag != "x_alpha_member":
+                raise DomainError(
+                    "the kernel grows exponentially here; only class "
+                    "members can be integrated against it")
+            rho = fe.params.rho
+            phi_min = np.pi * (0.5 - rho)
+            if u.sector_half_angle <= phi_min + 0.05:
+                raise DomainError(
+                    "rotating around the growing kernel needs analyticity "
+                    f"on a sector wider than {phi_min + 0.05:.3f} rad; this "
+                    f"input declares {u.sector_half_angle:.3f}")
+            phase = np.exp(1j * (phi_min + min(
+                0.35, 0.5 * (u.sector_half_angle - phi_min))))
+            end = self._ray_support(u, phase, log_floor)
+        else:
+            phase, end = 1.0, support
+        self._omega = complex(fe.cos_r, fe.freq) * phase
+        self._pre = np.exp(1j * fe.theta0) * phase
+        self._lattices = [
+            _Lattice(end, lam_hi * abs(self._omega.imag) * scale,
+                     24 * scale, lambda r, w: w * u(r * phase),
+                     self._omega, _KERNEL_REACH * lam_hi)
+            for scale in (1, 2)]
         if fe.coef_g != 0.0:
-            self._m_grids = _grid_pair(u.support_end(log_floor), 0.0,
+            self._m_grids = _grid_pair(support, 0.0,
                                        lambda nodes, wts: wts * u(nodes))
 
     @staticmethod
@@ -481,24 +624,23 @@ class _TransformKernel:
             "may grow along it despite its declared sector")
 
     def _dot(self, lams, which):
-        def dot(kernel, grids):
-            nodes, row = grids[which]
-            return blocked(lambda lb: kernel(np.outer(lb, nodes)) @ row,
-                           lams, nodes.size)
-
-        if not self._rotated:
-            return np.sqrt(_TWO_OVER_PI) * dot(self.fe, self._grids)
-        kk = dot(lambda v: np.exp(v * self._ray), self._k_grids)
-        out = np.imag(self._theta * self._phase * kk)
+        out = np.imag(self._pre * self._lattices[which](lams))
         if self.fe.coef_g != 0.0:
-            out += self.fe.coef_g * dot(self.fe.g_spline, self._m_grids)
+            nodes, row = self._m_grids[which]
+            out += self.fe.coef_g * blocked(
+                lambda lb: self.fe.g_spline(np.outer(lb, nodes)) @ row,
+                lams, nodes.size)
         return np.sqrt(_TWO_OVER_PI) * out
 
     def __call__(self, lams):
         return self._dot(lams, 0)
 
-    def est_at(self, lams):
-        return _gap(self._dot(lams, 0), self._dot(lams, 1))
+    def est_at(self, lams, coarse=None):
+        """The fine - coarse gap at lams; ``coarse`` passes self(lams)
+        when the caller has it already."""
+        if coarse is None:
+            coarse = self._dot(lams, 0)
+        return _gap(coarse, self._dot(lams, 1))
 
 
 @vectorized("lam")
@@ -510,7 +652,8 @@ def _pi_common(fe, u, lam, cfg):
         raise DomainError("lam must be positive")
     kern = _TransformKernel(fe, u, float(lam.max()), cfg)
     vals = kern(lam)
-    est = kern.est_at(lam[:: max(1, lam.size // 16)])
+    step = max(1, lam.size // 16)
+    est = kern.est_at(lam[::step], vals[::step])
     if est > max(50.0 * cfg.tol, 1e-11):
         raise NonConvergence(
             f"transform grid refinement changed the result by {est:.2e}")
@@ -566,12 +709,19 @@ def semigroup_apply(params: StableParams, u: TestFunction, t: float,
     return np.sqrt(_TWO_OVER_PI) * out
 
 
+# Half-period panels the round trip's accelerated tail may sum.
+_TAIL_PANELS = 512
+
+
 def pi_round_trip(params: StableParams, u: TestFunction, x: float,
                   cfg: SpectralConfig = _DEFAULT_CFG) -> float:
     """Pi applied to (Pi_hat u), evaluated at x; equals u(x) on class
     members.  The outer integral converges only conditionally (the
     transform decays like 1/lam), so its tail runs through the
-    oscillation accelerator."""
+    oscillation accelerator, for at most 514 half-periods.  The inner
+    transform is built for a third of the last lam that allows, the
+    range its lattice holds to; a head or tail that does not converge
+    within it raises NonConvergence."""
     _check_defined(params, "diagonalization")
     if u.class_tag != "x_alpha_member":
         raise DomainError("the inversion identity needs an x_alpha_member "
@@ -581,8 +731,10 @@ def pi_round_trip(params: StableParams, u: TestFunction, x: float,
     fe = _Kernel(params)
     freq = x * fe.freq
     lam0 = 30.0
-    lam_hi = lam0 + 50.0 * np.pi / freq
-    kern = _TransformKernel(_Kernel(params.dual()), u, lam_hi * 1.02, cfg)
+    # integrate_oscillatory_decaying sums 2 + max_evals // 16 panels
+    reach = lam0 + (_TAIL_PANELS + 2) * np.pi / freq
+    kern = _TransformKernel(_Kernel(params.dual()), u,
+                            reach / _KERNEL_REACH, cfg)
 
     def integrand(lams):
         return fe(x * lams) * kern(lams)
@@ -590,7 +742,15 @@ def pi_round_trip(params: StableParams, u: TestFunction, x: float,
     head = integrate_interval(integrand, lam0 * 1e-8, lam0,
                               tol=cfg.tol, frequency=freq)
     tail = integrate_oscillatory_decaying(
-        integrand, freq, tol=max(cfg.tol, 1e-9), start=lam0)
+        integrand, freq, tol=max(cfg.tol, 1e-9), start=lam0,
+        max_evals=16 * _TAIL_PANELS)
+    for part, res in (("head", head), ("tail", tail)):
+        if not res.converged:
+            raise NonConvergence(
+                f"the round trip's {part} did not converge by lambda = "
+                f"{reach:.4g} ({_TAIL_PANELS + 2} half-periods), the "
+                f"reach of its inner transform (error estimate "
+                f"{res.abs_error_estimate:.2e})")
     return float(np.sqrt(_TWO_OVER_PI) * (head.value + tail.value))
 
 

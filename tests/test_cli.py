@@ -237,6 +237,11 @@ def test_edge_inputs_keep_the_exit_code_contract():
         res = run_cli(*argv, timeout=30)
         assert res.returncode in (0, 2, 3, 4, 5), (argv, res.stderr)
         assert "Traceback" not in res.stderr, (argv, res.stderr)
+    # x lambda_cut ~ 1e500: refused up front, without a RuntimeWarning
+    res = run_cli(*_EDGE_ARGVS[-1], timeout=30)
+    assert res.returncode == 4, res.stderr
+    assert "x lambda_cut = e^1153 overflows" in res.stderr, res.stderr
+    assert "Warning" not in res.stderr, res.stderr
 
 
 def test_resolvent_refuses_overflowing_q():

@@ -1,5 +1,5 @@
 """Ray profiles: the tail handoff, and the Laplace transform's exact
-small-x branch and spline."""
+small-x branch, its closed form and spline."""
 
 import warnings
 from dataclasses import replace
@@ -9,7 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from halfstable import StableParams, survival
-from halfstable.profiles import _SERIES_EDGE, _SPLINE_HI, g_profile
+from halfstable.profiles import (_SERIES_EDGE, _SPLINE_HI, _series,
+                                 g_profile, mu_profile)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.2, 1.5, 2.0])
@@ -77,3 +78,37 @@ def test_spline_edge_stops_at_its_ceiling():
     assert prof._memo["spline"] is spline
     assert_allclose(got[1:], prof.laplace(x[1:]), rtol=1e-15)
     assert np.all(np.isfinite(got)) and np.all(got >= 0)
+
+
+# alpha rho_hat = 1 - 1e-12: a = -1 + 1e-12 for G, and a = 1e-12 for G'
+_NEAR_EDGE = (1.3, 1.0 - (1.0 - 1e-12) / 1.3)
+
+
+_SETS = [(1.5, 0.55), (0.8, 0.6), (0.3, 0.5), (1.9786, 0.5054),
+         (1.834, 0.4548), (1.194, 0.837), _NEAR_EDGE,
+         (1.5, 1.0 - 1.0 / 1.5)]  # a = -1 and 0 exactly for G, G'
+
+
+@pytest.mark.parametrize("alpha,rho,profile", [
+    *((a, r, g_profile) for a, r in _SETS + [(2.0, 0.5)]),
+    *((a, r, mu_profile) for a, r in _SETS)])  # no mu profile at alpha 2
+@pytest.mark.parametrize("deriv", [0, 1])
+def test_closed_small_branch_matches_series_and_tails(alpha, rho, profile,
+                                                      deriv):
+    # below the series edge laplace is one closed form; the route it
+    # replaced is the grid's Taylor series plus the two incomplete-gamma
+    # tails, which a nonpositive integer a still takes
+    prof = profile(StableParams(alpha, rho))
+    x = np.geomspace(1e-300, _SERIES_EDGE / prof.z_hi, 300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = prof.laplace(x, deriv=deriv)
+    with np.errstate(over="ignore"):  # mu': Gamma(a) x^-a = inf, a > 1
+        ref = _series(prof._moments(deriv), -x) \
+            + prof._low_tail(x, deriv) + prof._high_tail(x, deriv)
+    a = prof.einf + 1.0 + deriv
+    assert (prof._small_branch(deriv) is None) == (a <= 0 and a == round(a))
+    assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+    assert np.all(np.isfinite(got) | (a > 1.0))
+    fin = np.isfinite(ref)
+    assert_allclose(got[fin], ref[fin], rtol=2e-15, atol=0.0)

@@ -13,7 +13,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import erf
 
-from halfstable import DomainError, StableParams
+from halfstable import DomainError, StableParams, spectral
+from halfstable.eigenfunctions import _Kernel
 from halfstable.errors import NonConvergence
 from halfstable.numerics import integrate_interval, panel_nodes
 from halfstable import profiles
@@ -342,3 +343,89 @@ def test_survival_where_the_kernel_grows():
     assert abs(got - 0.835206599704) <= 1e-8
     with pytest.raises(NonConvergence, match="cancellation"):
         survival(StableParams(1.0003, 0.0003), 2.0, 1.0)
+
+
+# ------------------------------------------------------ transform kernel
+
+
+def _reference_kernel(kern, u, lam_hi, lams):
+    """The kernel as built before the panel lattice, for comparison: the
+    oscillatory part on a cascade grid (geometric panels toward 0, then
+    one panel per period) sized for lam_hi, and G's part on a real-axis
+    cascade grid of the same density."""
+    fe = kern.fe
+    log_floor = np.log(SpectralConfig().tol) - 12.0
+    phase = kern._omega / complex(fe.cos_r, fe.freq)
+    support = end = u.support_end(log_floor)
+    if phase == 1.0:
+        phase = 1.0  # real nodes for a real input
+    else:
+        end = kern._ray_support(u, phase, log_floor)
+    nodes, wts = spectral._panel_grid(
+        end, lam_hi * abs(kern._omega.imag), 24)
+    osc = np.exp(np.outer(lams, nodes) * kern._omega) \
+        @ (wts * u(nodes * phase))
+    out = np.imag(np.exp(1j * fe.theta0) * phase * osc)
+    if fe.coef_g != 0.0:
+        nodes, wts = spectral._panel_grid(support, lam_hi * fe.freq, 24)
+        out += fe.coef_g * fe.g_spline(np.outer(lams, nodes)) \
+            @ (wts * u(nodes))
+    return np.sqrt(2.0 / np.pi) * out
+
+
+def _table_member():
+    # a tabulated input that is small at both table ends
+    xs = np.geomspace(1e-3, 12.0, 60)
+    return TestFunction.from_table(xs, xs ** 2 * np.exp(-xs))
+
+
+@pytest.mark.parametrize("alpha,rho,dual,table", [
+    (1.2, 0.5, False, False), (2.0, 0.5, False, False),
+    (1.2, 0.5, False, True),                              # real ray
+    (1.5, 0.55, True, False), (0.8, 0.6, True, False),
+    (1.9, 0.52, True, False)])                            # rotated ray
+def test_lattice_kernel_matches_the_cascade_grid(alpha, rho, dual, table):
+    # the lattice holds to 3 times the lam range it is built for; the
+    # reference is the cascade-grid construction built for 12 times it.
+    # A table is only C1 at its knots, so no two grids agree on it to
+    # 1e-14: there the reference is built on the kernel's own nodes.
+    p = StableParams(alpha, rho)
+    fe = _Kernel(p.dual() if dual else p)
+    u = _table_member() if table else TestFunction.power_tower()
+    lam_hi = 10.0
+    kern = spectral._TransformKernel(fe, u, lam_hi, SpectralConfig())
+    assert (kern._omega.real < 0.0) == dual  # the ray the test means
+    lams = np.linspace(0.05, 3.0 * lam_hi, 60)
+    ref = _reference_kernel(kern, u, (1.0 if table else 12.0) * lam_hi,
+                            lams)
+    assert np.max(np.abs(kern(lams) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+# ----------------------------------------- survival on the rotated ray
+
+
+def test_survival_on_the_rotated_ray_against_contour():
+    # the real-axis integrand peaks at e^439 here.  Frozen 2026-10, route:
+    # Kuznetsov's Mellin-Barnes form of survival as above (trapezoid rule
+    # on Re z = -alpha rho_hat/2, h = alpha rho_hat/25, |y| <= 40/(pi (rho
+    # - 1/2 + 1/(2 alpha)))); halving h and widening the range 1.5x moved
+    # it by 6e-15
+    got = survival(StableParams(1.05, 0.2), 2.0, 1.0)
+    assert abs(got - 0.8618402248184854) <= 1e-9
+
+
+def test_survival_scaling_on_the_positive_edge():
+    # a sweep input (seed 1) that refused as e^45 cancellation: X is
+    # self-similar, P_2(tau > 1) = P_1(tau > 2^-alpha)
+    p = StableParams(1.100218666080922, 0.09108977076157942)
+    first = survival(p, 2.0, 1.0)
+    assert 0.0 <= first <= 1.0 + 1e-9
+    assert abs(survival(p, 1.0, 2.0 ** -p.alpha) - first) <= 1e-8
+
+
+def test_round_trip_refuses_past_its_reach(p_generic, monkeypatch):
+    # the tail may sum only as many half-periods as its inner transform
+    # resolves; one that needs more is refused, not returned
+    monkeypatch.setattr(spectral, "_TAIL_PANELS", 8)
+    with pytest.raises(NonConvergence, match="reach"):
+        pi_round_trip(p_generic, TestFunction.power_tower(), 1.0)
