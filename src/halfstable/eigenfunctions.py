@@ -29,7 +29,7 @@ the double sine route, since they never touch s2 along the variable.
 When the process has only negative jumps (alpha rho = 1) the dual
 assembly coefficient s2(-alpha rho) vanishes identically, so the
 co-eigenfunction is the pure rotated oscillation and its G-term is
-exactly zero; no special-casing is required and none is done.
+exactly zero, and its kernel is built without G's profile.
 
 ``verify_lucky_integral`` checks the bivariate product identity tying
 both rotated extremum densities to F(x) F_hat(y); it is the sharpest
@@ -40,6 +40,7 @@ Wiener-Hopf, profile, and eigenfunction layers in one number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -79,14 +80,6 @@ def g_func(params: StableParams, x, deriv=0):
     return g_profile(params).laplace(x, deriv=deriv)
 
 
-def _g_coef(params: StableParams) -> float:
-    """Assembly coefficient in front of G; exactly 0 when alpha rho_hat
-    is a lattice zero of the double sine (one-sided and Brownian cases).
-    """
-    return float(np.sqrt(params.alpha) / (4.0 * np.pi)
-                 * s2(-params.alpha * params.rho_hat, params.alpha).real)
-
-
 class _Kernel:
     """F at the parameters p: params for F, params.dual() for F_hat.
 
@@ -94,6 +87,8 @@ class _Kernel:
     a call adds G from the spline of its ray profile.  ``growth`` is the
     exponential rate cos(pi rho) of F, snapped to 0 below 1e-12 since
     cos(pi/2) rounds to ~6e-17; ``freq`` is its frequency sin(pi rho).
+    ``coef_g`` is the factor in front of G, and ``bound`` bounds |F| on
+    the positive axis when F is bounded.
     """
 
     def __init__(self, p: StableParams):
@@ -102,8 +97,18 @@ class _Kernel:
         self.growth = float(self.cos_r) if self.cos_r > 1e-12 else 0.0
         self.freq = np.sin(np.pi * p.rho)
         self.theta0 = 0.5 * np.pi * p.rho * (1.0 - p.alpha * p.rho_hat)
-        self.coef_g = _g_coef(p)
-        self.g_spline = g_profile(p).interp if self.coef_g != 0.0 else None
+        self.coef_g, self.bound = 0.0, 1.0
+        # s2(-1) = 0: alpha = 2 and the one-sided edges have no G part
+        if p.alpha * p.rho_hat != 1.0:
+            self.coef_g = float(np.sqrt(p.alpha) / (4.0 * np.pi)
+                                * s2(-p.alpha * p.rho_hat, p.alpha).real)
+            self.bound = 1.0 + abs(self.coef_g) * float(g_func(p, 0.0))
+
+    @cached_property
+    def survival_coef(self) -> float:
+        """(sqrt(alpha)/pi) Re s2(alpha rho_hat), survival's constant."""
+        a, rh = self.params.alpha, self.params.rho_hat
+        return (np.sqrt(a) / np.pi) * np.real(s2(a * rh, a))
 
     def osc(self, v, deriv=0):
         """e^(v cos(pi rho)) sin(v sin(pi rho) + theta0), or its
@@ -114,26 +119,34 @@ class _Kernel:
         return np.exp(v * self.cos_r) * (self.cos_r * np.sin(theta)
                                          + self.freq * np.cos(theta))
 
-    def __call__(self, v):
-        out = self.osc(v)
+    def g_spline(self, v):
+        """G from its profile's spline (zeros where coef_g is 0), looked
+        up, not held: the profile keeps this kernel in its memo."""
         if self.coef_g == 0.0:
-            return out
-        return out + self.coef_g * self.g_spline(v)
+            return np.zeros_like(v)
+        return g_profile(self.params).interp(v)
+
+    def __call__(self, v):
+        return self.osc(v) + self.coef_g * self.g_spline(v)
 
     def damped(self, v, damp):
         """F(v) * e^(-damp), with the damping folded into the exponent
         of the oscillatory part so a growing F never overflows."""
-        out = np.exp(v * self.cos_r - damp) \
-            * np.sin(v * self.freq + self.theta0)
-        if self.coef_g == 0.0:
-            return out
-        return out + self.coef_g * self.g_spline(v) * np.exp(-damp)
+        return np.exp(v * self.cos_r - damp) \
+            * np.sin(v * self.freq + self.theta0) \
+            + self.coef_g * self.g_spline(v) * np.exp(-damp)
 
-    def bound(self) -> float:
-        """Crude bound for |F| on the positive axis when F is bounded."""
-        if self.coef_g == 0.0:
-            return 1.0
-        return 1.0 + abs(self.coef_g) * float(g_func(self.params, 0.0))
+
+def kernel(p: StableParams) -> _Kernel:
+    """The one ``_Kernel`` of the parameter set p, kept with the G
+    spline in its profile's memo, so ``ray_profile.cache_clear()`` drops
+    both; one with no G part needs no double sine, and is built anew."""
+    if p.alpha * p.rho_hat == 1.0:
+        return _Kernel(p)
+    memo = g_profile(p)._memo
+    if ("kernel", p) not in memo:
+        memo["kernel", p] = _Kernel(p)
+    return memo["kernel", p]
 
 
 @vectorized("x")
@@ -143,7 +156,7 @@ def f_eigen(fn: EigenFn, x, deriv=0):
         raise DomainError("deriv must be 0 or 1")
     if np.any(x < 0):
         raise DomainError("x must be >= 0")
-    kern = _Kernel(fn.params_eff)
+    kern = kernel(fn.params_eff)
     osc = kern.osc(x, deriv)
     if kern.coef_g == 0.0:
         return osc
@@ -227,7 +240,7 @@ def mellin_f_quadrature(fn: EigenFn, z, tol=1e-8) -> QuadratureResult:
     z = complex(z)
     if not (-alpha * rh < z.real < 0.0):
         raise DomainError("Re z outside the Mellin strip")
-    kern = _Kernel(p)
+    kern = kernel(p)
 
     big_a = 10.0
     # head: int_{-L}^{log A} e^{z u} F(e^u) du; integrand decays like

@@ -203,10 +203,12 @@ class RayProfile:
         """laplace(x) (deriv 0) through the profile's cubic spline.
 
         The spline covers [1e-3 / z_hi, 1e12] whatever the arguments, so
-        a value never depends on earlier calls.  Arguments below its
-        lower edge, the series edge, take the exact laplace, which is the
-        Taylor series there; arguments above 1e12 take the exact laplace
-        too.
+        a value never depends on earlier calls.  Its knots are uniform in
+        log x, so a point's interval is read off by index, scipy's but
+        within rounding of a knot, where both cubics agree to an ulp;
+        summed in scipy's order, the cubic gives CubicSpline's value.
+        Below the series edge, its lower edge, and above 1e12 the exact
+        laplace serves (the Taylor series below).
         """
         x = np.asarray(x, dtype=float)
         if "spline" not in self._memo:
@@ -215,9 +217,15 @@ class RayProfile:
                                int(np.log(_SPLINE_HI / lo) / _SPLINE_STEP))
             self._memo["spline"] = CubicSpline(grid,
                                                self.laplace(np.exp(grid)))
+        k, c = self._memo["spline"].x, self._memo["spline"].c
         out = np.empty_like(x)
         inside = (x >= _SERIES_EDGE / self.z_hi) & (x <= _SPLINE_HI)
-        out[inside] = self._memo["spline"](np.log(x[inside]))
+        t = np.log(x[inside])
+        i = np.clip(((t - k[0]) * ((k.size - 1) / (k[-1] - k[0])))
+                    .astype(np.intp), 0, k.size - 2)
+        d = t - k[i]
+        out[inside] = c[3][i] + c[2][i] * d + c[1][i] * (d * d) \
+            + c[0][i] * (d * d * d)
         if not inside.all():
             out[~inside] = self.laplace(x[~inside])
         return out

@@ -27,10 +27,10 @@ grids.  Second, the completely
 monotone part G of F is served by a cubic spline on a dense log grid,
 because the exact profile evaluation costs a ~3000-node dot per point
 and the matrix kernels below need 1e6-1e8 points.  The spline belongs
-to G's ray profile (``RayProfile.interp``): it is built once per
-parameter set over a fixed range, shared by every call, so no value
-depends on the calls before it, and dropped with the profile by
-``ray_profile.cache_clear()``.
+to G's ray profile (``RayProfile.interp``), read by index and built
+once per parameter set over a fixed range, as is the kernel F with its
+double sine constants (``eigenfunctions.kernel``), kept beside it:
+``ray_profile.cache_clear()`` drops both.
 Third, integrals that converge only conditionally (the inversion
 Pi Pi_hat u and the eigenfunction check, whose tails decay like 1/lam
 times an oscillation) are split at a finite point and finished with the
@@ -53,8 +53,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .doublesine import s2
-from .eigenfunctions import EigenFn, _Kernel, f_eigen
+from .eigenfunctions import EigenFn, _Kernel, f_eigen, kernel
 from .errors import BudgetExceeded, DomainError, NonConvergence
 from .model import StableParams
 from .numerics import (IntegrandProfile, blocked, integrate_interval,
@@ -341,8 +340,8 @@ def survival(params: StableParams, x: float, t: float,
     if x <= 0 or t <= 0:
         raise DomainError("x and t must be positive")
     alpha, rh = params.alpha, params.rho_hat
-    fe = _Kernel(params)
-    lam = _cutoff(alpha, t, x * fe.growth, cfg.tol, fe.bound())
+    fe = kernel(params)
+    lam = _cutoff(alpha, t, x * fe.growth, cfg.tol, fe.bound)
     log_reach = np.log(x) + np.log(lam)
     if log_reach > _LOG_MAX:
         raise NonConvergence(
@@ -376,8 +375,7 @@ def survival(params: StableParams, x: float, t: float,
         err = sum(res.abs_error_estimate for res in parts)
         raise NonConvergence(
             f"survival quadrature error estimate {err:.2e} above tolerance")
-    value = (np.sqrt(alpha) / np.pi) * np.real(s2(alpha * rh, alpha)) \
-        * (sum(res.value for res in parts) + rest[0])
+    value = fe.survival_coef * (sum(res.value for res in parts) + rest[0])
     if not -1e-9 <= value <= 1.0 + 1e-9:
         if value < -cfg.tol or value > 1.0 + cfg.tol:
             warnings.warn(f"survival value {value} outside [0, 1]",
@@ -484,8 +482,8 @@ class _HeatKernel:
 
     def __init__(self, params: StableParams, x: float, t: float,
                  ymax: float, cfg: SpectralConfig):
-        self.fe_dual = _Kernel(params.dual())
-        fe = _Kernel(params)
+        self.fe_dual = kernel(params.dual())
+        fe = kernel(params)
         g_dual = ymax * self.fe_dual.growth
         growth = x * fe.growth + g_dual
         cap = _cancellation_cap(params.alpha, t, growth)
@@ -497,7 +495,7 @@ class _HeatKernel:
                 "dominated, ~ y^-(1+alpha), not spectrally resolvable here)")
         w_dual = g_dual / growth if growth > 0 else 0.5
         lam = _cutoff(params.alpha, t, growth, cfg.tol,
-                      fe.bound() * self.fe_dual.bound())
+                      fe.bound * self.fe_dual.bound)
         freq = x * fe.freq + ymax * self.fe_dual.freq
         self._grids = _grid_pair(lam, freq, lambda nodes, wts: (
             _TWO_OVER_PI * wts * fe.damped(
@@ -665,7 +663,7 @@ def pi_transform(params: StableParams, u: TestFunction, lam,
     """Generalized sine transform with kernel F(lam x); vectorized over
     lam.  For rho < 1/2 the kernel grows, so only class members are
     accepted there."""
-    return _pi_common(_Kernel(params), u, lam, cfg)
+    return _pi_common(kernel(params), u, lam, cfg)
 
 
 def pi_hat_transform(params: StableParams, u: TestFunction, lam,
@@ -674,7 +672,7 @@ def pi_hat_transform(params: StableParams, u: TestFunction, lam,
     (the dual kernel grows whenever rho > 1/2)."""
     if u.class_tag != "x_alpha_member":
         raise DomainError("pi_hat_transform needs an x_alpha_member input")
-    return _pi_common(_Kernel(params.dual()), u, lam, cfg)
+    return _pi_common(kernel(params.dual()), u, lam, cfg)
 
 
 @vectorized("x")
@@ -690,9 +688,9 @@ def semigroup_apply(params: StableParams, u: TestFunction, t: float,
     if np.any(x <= 0) or t <= 0:
         raise DomainError("x and t must be positive")
     alpha = params.alpha
-    fe = _Kernel(params)
-    lam_cut = _cutoff(alpha, t, 0.0, cfg.tol, fe.bound())
-    kern = _TransformKernel(_Kernel(params.dual()), u, lam_cut, cfg)
+    fe = kernel(params)
+    lam_cut = _cutoff(alpha, t, 0.0, cfg.tol, fe.bound)
+    kern = _TransformKernel(kernel(params.dual()), u, lam_cut, cfg)
     probes = np.geomspace(lam_cut * 1e-3, lam_cut, 24)
     inner_est = kern.est_at(probes) * lam_cut
     out = np.empty(x.shape)
@@ -728,12 +726,12 @@ def pi_round_trip(params: StableParams, u: TestFunction, x: float,
                           "input")
     if x <= 0:
         raise DomainError("x must be positive")
-    fe = _Kernel(params)
+    fe = kernel(params)
     freq = x * fe.freq
     lam0 = 30.0
     # integrate_oscillatory_decaying sums 2 + max_evals // 16 panels
     reach = lam0 + (_TAIL_PANELS + 2) * np.pi / freq
-    kern = _TransformKernel(_Kernel(params.dual()), u,
+    kern = _TransformKernel(kernel(params.dual()), u,
                             reach / _KERNEL_REACH, cfg)
 
     def integrand(lams):
@@ -769,11 +767,20 @@ def eigen_check(params: StableParams, lam: float, t: float, x: float,
         raise DomainError("eigen_check requires lam >= 0.1")
     if x <= 0 or t <= 0:
         raise DomainError("x and t must be positive")
-    fe = _Kernel(params)
+    fe = kernel(params)
     freq = lam * fe.freq
     y0 = 25.0 + 4.0 / lam
-    y_hi = y0 + 52.0 * np.pi / freq
-    kern = _HeatKernel(params, x, t, y_hi * 1.02, cfg)
+    y_hi = 1.02 * (y0 + 52.0 * np.pi / freq)
+    try:
+        kern = _HeatKernel(params, x, t, y_hi, cfg)
+    except DomainError as exc:  # F grows nowhere here: only F_hat does
+        cap = _cancellation_cap(params.alpha, t,
+                                y_hi * kernel(params.dual()).growth)
+        raise DomainError(
+            f"eigen_check integrates the density over y up to {y_hi:.4g} "
+            f"(set from lam = {lam:g}), where the dual kernel grows like "
+            f"e^(y cos(pi rho_hat)): e^{cap:.0f} cancellation, beyond double "
+            "precision") from exc
 
     def integrand(y):
         return kern(y) * fe(lam * y)

@@ -112,3 +112,45 @@ def test_closed_small_branch_matches_series_and_tails(alpha, rho, profile,
     assert np.all(np.isfinite(got) | (a > 1.0))
     fin = np.isfinite(ref)
     assert_allclose(got[fin], ref[fin], rtol=2e-15, atol=0.0)
+
+
+def _x_with_log(t):
+    """Floats x whose np.log is t, or the nearest log reaches."""
+    x = np.exp(t)
+    for _ in range(4):
+        x = np.where(np.log(x) < t, np.nextafter(x, np.inf), x)
+        x = np.where(np.log(x) > t, np.nextafter(x, 0.0), x)
+    return x
+
+
+@pytest.mark.parametrize("alpha,rho", [(1.5, 0.55), (0.5, 0.5), (1.9, 0.52)])
+def test_spline_read_by_index_matches_scipy(alpha, rho):
+    # interp finds a point's interval by index on the uniform log-x knots
+    # instead of scipy's search; on every knot, both float neighbours of
+    # it, every midpoint and random points it must give CubicSpline's
+    # value.  (0.5, 0.5) has z_hi = e^42, so its spline starts lower.
+    prof = replace(g_profile(StableParams(alpha, rho)), _memo={})
+    prof.interp(np.array([1.0]))
+    spline = prof._memo["spline"]
+    k = spline.x
+    rng = np.random.default_rng(7)
+    t = np.concatenate((k, np.nextafter(k[1:], -np.inf),
+                        np.nextafter(k[:-1], np.inf), 0.5 * (k[1:] + k[:-1]),
+                        rng.uniform(k[0], k[-1], 100_000)))
+    x = _x_with_log(t)
+    assert np.mean(np.log(x) == t) > 0.9
+    # within rounding of a knot the index may name the interval before
+    # it, whose cubic agrees there to an ulp
+    assert_allclose(prof.interp(x), spline(np.log(x)), rtol=2.5e-16, atol=0)
+    # the ends of the range, just outside them, 0 and inf: inside the
+    # spline, outside the exact laplace
+    edge = _SERIES_EDGE / prof.z_hi
+    inside = np.array([edge, np.nextafter(edge, np.inf), _SPLINE_HI,
+                       np.nextafter(_SPLINE_HI, 0.0)])
+    assert_allclose(prof.interp(inside), spline(np.log(inside)),
+                    rtol=2.5e-16, atol=0)
+    outside = np.array([np.nextafter(edge, 0.0), 0.0,
+                        np.nextafter(_SPLINE_HI, np.inf), np.inf])
+    with np.errstate(invalid="ignore"):  # laplace(inf) is nan
+        np.testing.assert_array_equal(prof.interp(outside),
+                                      prof.laplace(outside))

@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import erf
 
-from halfstable import DomainError, StableParams, spectral
+from halfstable import DomainError, StableParams, doublesine, spectral
 from halfstable.eigenfunctions import _Kernel
 from halfstable.errors import NonConvergence
 from halfstable.numerics import integrate_interval, panel_nodes
@@ -250,6 +250,15 @@ def test_eigen_relation_through_the_density(p_symmetric):
     assert eigen_check(p_symmetric, 1.0, 0.5, 1.0) < 1e-4
 
 
+def test_eigen_check_refusal_names_its_y_range(p_generic):
+    # at rho > 1/2 the dual kernel grows along the y range eigen_check
+    # sets itself, so the refusal names that range, not the caller's
+    with pytest.raises(DomainError, match=r"eigen_check integrates the "
+                       r"density over y up to 198\.3 .* e\^17686 "
+                       r"cancellation"):
+        eigen_check(p_generic, 1.0, 0.5, 1.0)
+
+
 # ------------------------------------------------------------- G spline
 
 
@@ -429,3 +438,50 @@ def test_round_trip_refuses_past_its_reach(p_generic, monkeypatch):
     monkeypatch.setattr(spectral, "_TAIL_PANELS", 8)
     with pytest.raises(NonConvergence, match="reach"):
         pi_round_trip(p_generic, TestFunction.power_tower(), 1.0)
+
+
+# ------------------------------------------------- one kernel per set
+
+
+def test_warm_calls_evaluate_no_double_sine(p_generic, monkeypatch):
+    # the kernel of a parameter set holds its double sine constants and
+    # lives with G's profile, so after one call of each kind no warm call
+    # evaluates s2, and ray_profile.cache_clear() drops it with the spline
+    u = TestFunction.power_tower()
+    lam = np.array([0.5, 1.0, 2.0])
+    calls = {
+        "survival": lambda: survival(p_generic, 1.0, 1.0),
+        "density": lambda: transition_density(p_generic, 1.0,
+                                              np.array([0.5, 1.0]), 1.0),
+        "pi_transform": lambda: pi_transform(p_generic, u, lam),
+        "pi_hat_transform": lambda: pi_hat_transform(p_generic, u, lam),
+        "semigroup": lambda: semigroup_apply(p_generic, u, 0.5, 1.0)}
+    for call in calls.values():
+        call()
+    seen = []
+    exact = doublesine.log_s2
+
+    def spy(*args, **kw):
+        seen.append(args)
+        return exact(*args, **kw)
+
+    monkeypatch.setattr(doublesine, "log_s2", spy)
+    for name, call in calls.items():
+        call()
+        assert not seen, name
+    ray_profile.cache_clear()
+    survival(p_generic, 1.0, 1.0)
+    assert len(seen) == 2  # coef_g and survival's constant
+
+
+@pytest.mark.parametrize("alpha,rho,built", [
+    (2.0, 0.5, 0), (1.5, 2.0 / 3.0, 1), (1.5, 1.0 / 3.0, 1)])
+def test_no_g_profile_where_its_coefficient_vanishes(alpha, rho, built):
+    # at alpha rho_hat = 1 the kernel has no G part, and it is built
+    # without G's profile: (2, 0.5) needs none, and at a one-sided edge
+    # only the side with a G part builds one
+    ray_profile.cache_clear()
+    p = StableParams(alpha, rho)
+    survival(p, 1.0, 1.0)
+    transition_density(p, 1.0, np.array([0.5, 1.0]), 1.0)
+    assert ray_profile.cache_info().currsize == built
