@@ -248,20 +248,26 @@ def mellin_f_quadrature(fn: EigenFn, z, tol=1e-8) -> QuadratureResult:
     # an exact cancellation between sin(theta0) and the G-term, leaving
     # a rounding residual ~1e-13 in the assembled F; below the x where
     # that residual overtakes the true C x^(alpha rho_hat) the integrand
-    # is pure amplified noise, so the head stops there and the remainder
-    # enters the error estimate analytically.
+    # is pure amplified noise, so the head stops there, or at x = 1e-300
+    # before e^u underflows.  The rest below is the power law
+    # h(low) / (z + alpha rho_hat); its gap to the same extrapolation
+    # from low + 1 enters the error estimate.
     rate = z.real + alpha * rh
     low = -(np.log(1.0 / tol) + 12.0) / rate
     resid = 4e-13 * (1.0 + abs(np.sin(kern.theta0)))
     c_small = abs(f_eigen(fn, 1e-3)) / 1e-3 ** (alpha * rh) + 1e-30
     u_star = np.log(resid / c_small) / (alpha * rh)
-    low = max(low, u_star)
-    trunc_err = (c_small * np.exp(rate * low) / rate
+    low = max(low, u_star, np.log(1e-300))
+
+    def h(u):
+        return np.exp(z * u) * f_eigen(fn, np.exp(u))
+
+    rest = h(np.array([low, low + 1.0])) \
+        * np.exp([0.0, -(z + alpha * rh)]) / (z + alpha * rh)
+    trunc_err = (abs(rest[0] - rest[1])
                  + resid * np.exp(-z.real * low) / max(abs(z.real), 1e-3))
-    head = integrate_interval(
-        lambda u: np.exp(z * u) * f_eigen(fn, np.exp(u)),
-        low, np.log(big_a), tol=tol / 3,
-        frequency=abs(z.imag) + 2.0)
+    head = integrate_interval(h, low, np.log(big_a), tol=tol / 3,
+                              frequency=abs(z.imag) + 2.0)
 
     def osc_part(x):
         return x ** (z - 1.0) * kern.osc(x)
@@ -287,7 +293,7 @@ def mellin_f_quadrature(fn: EigenFn, z, tol=1e-8) -> QuadratureResult:
     else:
         g_val, g_err, g_ev, g_ok = 0.0, 0.0, 0, True
 
-    value = head.value + tail_osc.value + cg * g_val
+    value = rest[0] + head.value + tail_osc.value + cg * g_val
     err = (head.abs_error_estimate + tail_osc.abs_error_estimate
            + abs(cg) * g_err + trunc_err)
     ok = head.converged and tail_osc.converged and g_ok

@@ -98,6 +98,7 @@ _SPLINE_HI = 1e12       # upper edge of the laplace spline
 _SPLINE_STEP = 0.006    # its node spacing in log x
 _SERIES_EDGE = 1e-3     # x z_hi up to which laplace sums the Taylor series
 _SERIES_TERMS = 6
+_LOG_MAX = np.log(np.finfo(float).max)
 
 
 def _series(coefs, y):
@@ -247,9 +248,21 @@ class RayProfile:
         return wv if deriv == 0 else -wv * self.z
 
     def _moments(self, deriv):
-        """Taylor coefficients M_k / k! of the grid dot in powers of -x."""
+        """Taylor coefficients M_k / k! of the grid dot in powers of -x.
+
+        These and ``_small_branch`` form powers up to z_hi^top, top =
+        max(einf + deriv + 1, 0) + 5; below alpha = 1, z_hi = e^(21 /
+        alpha), so at small alpha that overflows and the profile refuses.
+        """
         key = ("moments", deriv)
         if key not in self._memo:
+            top = max(self.einf + deriv + 1.0, 0.0) + _SERIES_TERMS - 1
+            if top * np.log(self.z_hi) > _LOG_MAX:
+                raise DomainError(
+                    f"alpha = {self.alpha:.3g} is below the smallest alpha "
+                    f"this profile's grid supports, about "
+                    f"{_U_EDGE_BELOW_1 * top / _LOG_MAX:.3g}: its series "
+                    f"forms z_hi^{top:.3g} = e^{top * np.log(self.z_hi):.0f}")
             zw = self._zw(deriv)
             self._memo[key] = [zw @ self.z ** k / _gamma_fn(k + 1.0)
                                for k in range(_SERIES_TERMS)]

@@ -97,6 +97,20 @@ def test_mellin_closed_form_vs_quadrature(alpha, rho):
         assert abs(mellin_f(fn, z) - quad.value) < 1e-5
 
 
+@pytest.mark.parametrize("alpha,rho", [(0.2, 0.9), (0.2, 0.95), (0.2, 0.98),
+                                       (0.5, 0.98), (1.0, 0.98)])
+def test_mellin_quadrature_at_small_alpha_rho_hat(alpha, rho):
+    """At small alpha rho_hat the head's noise floor lies below x =
+    1e-300, where e^u underflows; the head stops there and the power-law
+    rest below it is added to the value."""
+    p = StableParams(alpha, rho)
+    fn = EigenFn(p)
+    z = complex(-0.3 * alpha * p.rho_hat, 0.4)
+    quad = mellin_f_quadrature(fn, z)
+    assert quad.converged
+    assert abs(quad.value - mellin_f(fn, z)) < 1e-8 * abs(mellin_f(fn, z))
+
+
 @pytest.mark.parametrize("alpha,rho", TRANSFORM_PARAMS)
 def test_mellin_quadrature_reports_its_noise_floor(alpha, rho):
     """Deep in the strip the x -> 0 factor amplifies the rounding
