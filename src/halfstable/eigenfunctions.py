@@ -231,7 +231,8 @@ def mellin_f_quadrature(fn: EigenFn, z, tol=1e-8) -> QuadratureResult:
     is a clean exponential times a unit-frequency oscillation; the tail
     is split into the oscillatory part of F (Euler-accelerated when
     rho = 1/2, plainly truncated otherwise) and the algebraically
-    decaying G part.
+    decaying G part.  It reads converged only where every part converged
+    and the summed error estimate is at most tol.
     """
     p = fn.params_eff
     alpha, r, rh = p.alpha, p.rho, p.rho_hat
@@ -296,9 +297,8 @@ def mellin_f_quadrature(fn: EigenFn, z, tol=1e-8) -> QuadratureResult:
     value = rest[0] + head.value + tail_osc.value + cg * g_val
     err = (head.abs_error_estimate + tail_osc.abs_error_estimate
            + abs(cg) * g_err + trunc_err)
-    ok = head.converged and tail_osc.converged and g_ok
-    return QuadratureResult(value, err,
-                            bool(ok),
+    ok = head.converged and tail_osc.converged and g_ok and err <= tol
+    return QuadratureResult(value, err, bool(ok),
                             head.evaluations + tail_osc.evaluations + g_ev)
 
 

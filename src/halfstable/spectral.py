@@ -36,18 +36,20 @@ Pi Pi_hat u and the eigenfunction check, whose tails decay like 1/lam
 times an oscillation) are split at a finite point and finished with the
 zero-partition averaging accelerator from ``numerics``.
 
-Validity regimes are enforced as hard preconditions: the survival
-formula needs alpha > 1 or rho >= 1/2, the density and the semigroup
-diagonalization need rho >= 1/2 (density additionally alpha > 1 or
-rho = 1/2 exactly).  Outside those ranges some of the integrals
-genuinely diverge, so the functions raise DomainError instead of
-extrapolating.
+Survival is defined at every admissible (alpha, rho): where F grows
+(rho < 1/2) its oscillation leaves the real axis at lam = 1/x for a ray
+on which it decays, and below alpha 1 that ray is what gives the
+integral its value.  The density needs alpha > 1 or rho = 1/2 exactly,
+and the semigroup diagonalization rho >= 1/2; outside those ranges their
+integrals genuinely diverge on the real axis, so the functions raise
+DomainError instead of extrapolating.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,9 +58,9 @@ from scipy.interpolate import PchipInterpolator
 from .eigenfunctions import EigenFn, _Kernel, f_eigen, kernel
 from .errors import BudgetExceeded, DomainError, NonConvergence
 from .model import StableParams
-from .numerics import (IntegrandProfile, blocked, integrate_interval,
-                       integrate_oscillatory_decaying,
-                       integrate_semi_infinite, panel_nodes, vectorized)
+from .numerics import (blocked, integrate_interval,
+                       integrate_oscillatory_decaying, panel_nodes,
+                       vectorized)
 
 _TWO_OVER_PI = 2.0 / np.pi
 
@@ -211,8 +213,8 @@ def _cutoff(alpha: float, t: float, growth: float, tol: float,
     """lam beyond which e^(-t lam^alpha + growth lam) * bound < tol/10."""
     big_l = np.log(10.0 * max(bound, 1.0) / tol)
     lam = (big_l / t) ** (1.0 / alpha)
-    for _ in range(40):
-        lam = ((big_l + max(growth, 0.0) * lam) / t) ** (1.0 / alpha)
+    for _ in range(40 if growth > 0.0 else 0):
+        lam = ((big_l + growth * lam) / t) ** (1.0 / alpha)
     return 1.05 * lam
 
 
@@ -307,9 +309,6 @@ def _gap(coarse, fine) -> float:
 
 def _check_defined(params: StableParams, need: str):
     alpha, r = params.alpha, params.rho
-    if need == "survival" and not (alpha > 1.0 or r >= 0.5 - 1e-12):
-        raise DomainError("survival formula requires alpha > 1 or "
-                          "rho >= 1/2")
     if need == "density" and not (alpha > 1.0 or abs(r - 0.5) < 1e-12):
         raise DomainError("density formula requires alpha > 1 or "
                           "rho = 1/2")
@@ -318,64 +317,115 @@ def _check_defined(params: StableParams, need: str):
                           "rho >= 1/2")
 
 
+_LOG_MAX = np.log(np.finfo(float).max)
+# Narrowest sector (rad) the survival ray runs in: at 2e-3 the ray spans
+# q up to ~2e4 at (x, t) = (2, 1) (2e4 evaluations, 4 ms warm), and the
+# positive edge rho = 1 - 1/alpha has a wider one from alpha = 1.0013 on.
+_MIN_WINDOW = 2e-3
+# The grid in u = log(1 + q) on which the survival ray is cut.
+_RAY_GRID = 0.5 * np.arange(1.0, 41.0)
+
+
 def survival(params: StableParams, x: float, t: float,
              cfg: SpectralConfig = _DEFAULT_CFG) -> float:
     """P(first exit from the half-line after t | start at x).
 
-    Evaluated in s = log(lam); the kernel decays like e^(alpha rho_hat s)
-    on the left and the e^(-t lam^alpha) factor cuts the right end.  The
-    integral starts at s_lo, where the integrand h is below tol e^-7 or,
-    if that comes first, x lam = 1e-300; the power-law rest h(s_lo) /
-    (alpha rho_hat) is added, unless its extrapolations from s_lo and
-    s_lo + 1 differ by more than tol/3 (NonConvergence).  Where F grows
-    (rho < 1/2), h peaks at e^``_cancellation_cap``.  The real-axis
-    quadrature's error is then at least 2 e^cap eps, so where that
-    exceeds tol/3 (cap above 15.8 at tol 1e-8), or where the real axis
-    does not converge, the oscillation past lam = 1/x leaves the real
-    axis (``_survival_rotated``).  Where x times the lam cutoff overflows,
-    NonConvergence names it before any work.  Values outside [0, 1]
-    (possible at loose tolerances) trigger a warning, not clipping.
+    In v = x lam it is C int e^(-tau v^alpha) F(v) dv / v, tau = t
+    x^-alpha, F = Im(e^(i theta0) e^(v w)) + coef_g G, w = e^(i pi rho),
+    in one adaptive quadrature over three parts laid end to end: the
+    whole kernel on the real axis in sigma = log v up to v = 1, where F
+    grows by at most e; G's part on to the lam cutoff; and the
+    oscillation on the ray v = 1 + q e^(i phi), in u = log(1 + q), cut
+    where its integrand falls below tol e^-5.  phi is the midpoint of
+    the sector (pi (1/2 - rho), min(pi / (2 alpha), pi (3/2 - rho))),
+    where e^(v w) and e^(-tau v^alpha) both decay, so the ray avoids the
+    real axis's cancellation where F grows (rho < 1/2), and gives the
+    integral its value there below alpha 1.  NonConvergence names a
+    sector narrower than _MIN_WINDOW.
+
+    Below sigma_lo, where the integrand is under tol e^-7 (or v =
+    1e-300), the power-law rest h(sigma_lo) / (alpha rho_hat) is added,
+    unless its extrapolations from sigma_lo and sigma_lo + 1 differ by
+    more than tol/3 (NonConvergence).  Where x times the lam cutoff
+    overflows, NonConvergence names it before any work.  Values outside
+    [0, 1] (possible at loose tolerances) trigger a warning.
     """
-    _check_defined(params, "survival")
     if x <= 0 or t <= 0:
         raise DomainError("x and t must be positive")
-    alpha, rh = params.alpha, params.rho_hat
+    alpha, rho = params.alpha, params.rho
     fe = kernel(params)
-    lam = _cutoff(alpha, t, x * fe.growth, cfg.tol, fe.bound)
-    log_reach = np.log(x) + np.log(lam)
+    with np.errstate(over="ignore", divide="ignore"):  # t at 1e-/1e+300
+        log_reach = np.log(x) + np.log(
+            _cutoff(alpha, t, 0.0, cfg.tol, fe.bound))
     if log_reach > _LOG_MAX:
         raise NonConvergence(
             f"x lambda_cut = e^{log_reach:.0f} overflows double precision "
             f"at (x, t) = ({x:g}, {t:g})")
-    cap = _cancellation_cap(alpha, t, x * fe.growth)
-    rate = alpha * rh
-    s_lo = max((np.log(cfg.tol) - 7.0) / rate, np.log(1e-300)) - np.log(x)
-    s_hi = np.log(lam)
+    lower = np.pi * (0.5 - rho)
+    window = min(np.pi / (2.0 * alpha), np.pi * (1.5 - rho)) - lower
+    if window < _MIN_WINDOW:
+        raise NonConvergence(
+            f"F grows like e^({x * fe.growth:.3g} lam) on the real axis at "
+            f"(x, t) = ({x:g}, {t:g}), and the sector of rays that avoids "
+            f"that cancellation is {window:.2g} rad wide, below "
+            f"{_MIN_WINDOW:g}")
+    rate = alpha * params.rho_hat
+    sig_lo = max((np.log(cfg.tol) - 7.0) / rate, np.log(1e-300))
+    sig_g = max(0.0, log_reach) if fe.coef_g != 0.0 else 0.0
+    log_tau = np.log(t) - alpha * np.log(x)
+    ray = np.exp(1j * (lower + 0.5 * window))
+    w = np.exp(1j * np.pi * rho)
+    pre = np.exp(1j * fe.theta0) * ray
+    # past tau = e^600 the damping is total anywhere on the ray, and the
+    # cap keeps tau z^alpha finite on the whole grid
+    log_tau_ray = min(log_tau, 600.0)
 
-    def integrand(s):
-        return fe.damped(x * np.exp(s), t * np.exp(alpha * s))
+    def on_ray(u):
+        """log of e^(w z - tau z^alpha) (1 + q) / z, z = 1 + q ray."""
+        q = np.expm1(u)
+        z = 1.0 + q * ray
+        log_z = np.log(z)
+        return w * z - np.exp(log_tau_ray + alpha * log_z) + u - log_z
 
-    # the integral below s_lo, extrapolated from s_lo and from s_lo + 1
-    rest = integrand(np.array([s_lo, s_lo + 1.0])) \
-        * np.exp([0.0, -rate]) / rate
+    # Re(w z) = cos(pi rho) - q sin(window / 2): the grid ends past the cut
+    above = np.flatnonzero(on_ray(_RAY_GRID).real > np.log(cfg.tol) - 5.0)
+    u_hi = _RAY_GRID[above[-1] + 1 if above.size else 0]
+
+    def damping(sig):  # e^-damping is 0 long before its exponent is 700
+        return np.exp(-np.exp(np.minimum(log_tau + alpha * sig, 700.0)))
+
+    def real_axis(sig):
+        """The kernel, G's part alone past sigma = 0, times e^-damping."""
+        v = np.exp(sig)
+        kern = fe.coef_g * fe.g_spline(v)
+        head = sig <= 0.0
+        kern[head] += fe.osc(v[head])
+        return kern * damping(sig)
+
+    def integrand(v):
+        out = np.empty(v.shape)
+        real = v <= sig_g
+        out[real] = real_axis(v[real])
+        out[~real] = np.imag(pre * np.exp(on_ray(v[~real] - sig_g)))
+        return out
+
+    # the integral below sigma_lo, extrapolated from sigma_lo and + 1
+    rest = _kernel_near_zero(params, sig_lo) * np.exp([0.0, -rate]) / rate \
+        * damping(np.array([sig_lo, sig_lo + 1.0]))
     if abs(rest[0] - rest[1]) > cfg.tol / 3.0:
         raise NonConvergence(
-            f"the survival integral below lambda = e^{s_lo:.0f} is not yet "
-            f"a power law at alpha rho_hat = {rate:.3g}")
-    rotate = cap > np.log(cfg.tol / (6.0 * np.finfo(float).eps))
-    if not rotate:
-        parts = [integrate_interval(integrand, s_lo, s_hi, tol=cfg.tol / 3.0,
-                                    frequency=lam * x * fe.freq)]
-        # near alpha = 1 many periods share the peak, and the real axis
-        # can lose more than e^cap eps
-        rotate = cap > 0.0 and not parts[0].converged
-    if rotate:
-        parts = _survival_rotated(fe, x, t, s_lo, s_hi, cfg.tol / 9.0, cap)
-    if not all(res.converged for res in parts):
-        err = sum(res.abs_error_estimate for res in parts)
+            f"the survival integral below lambda = e^{sig_lo - np.log(x):.0f}"
+            f" is not yet a power law at alpha rho_hat = {rate:.3g}")
+    # edges where the parts meet and at the grid points along the ray,
+    # without which about half the calls took a second adaptive round
+    res = integrate_interval(
+        integrand, sig_lo, sig_g + u_hi, tol=cfg.tol / 3.0, frequency=fe.freq,
+        extra_edges=[0.0, sig_g, *(sig_g + _RAY_GRID[_RAY_GRID < u_hi])])
+    if not res.converged:
         raise NonConvergence(
-            f"survival quadrature error estimate {err:.2e} above tolerance")
-    value = fe.survival_coef * (sum(res.value for res in parts) + rest[0])
+            f"survival quadrature error estimate "
+            f"{res.abs_error_estimate:.2e} above tolerance")
+    value = fe.survival_coef * (res.value + rest[0])
     if not -1e-9 <= value <= 1.0 + 1e-9:
         if value < -cfg.tol or value > 1.0 + cfg.tol:
             warnings.warn(f"survival value {value} outside [0, 1]",
@@ -383,66 +433,15 @@ def survival(params: StableParams, x: float, t: float,
     return float(value)
 
 
-_LOG_MAX = np.log(np.finfo(float).max)
-# Narrowest sector (rad) the rotated survival integral runs in: at 2e-3
-# the ray integral spans r up to ~1e4 at (x, t) = (2, 1) (0.06 s), and
-# the positive edge rho = 1 - 1/alpha has a wider one from alpha =
-# 1.0013 on.
-_MIN_WINDOW = 2e-3
-
-
-def _survival_rotated(fe: _Kernel, x: float, t: float, s_lo: float,
-                      s_hi: float, tol: float, cap: float):
-    """The survival integral of ``survival`` where the real axis would
-    need e^cap cancellation, more than doubles hold, as a list of
-    QuadratureResults, each within tol.
-
-    With osc(x lam) = Im(e^(i theta0) e^(x lam w)), w = e^(i pi rho):
-    on (0, lam1], lam1 = 1/x, the real-axis integrand stays (its growth
-    is at most e); past lam1 the G part stays on the real axis, and the
-    oscillatory part runs along lam = lam1 + r e^(i phi), r >= 0, with
-    phi the midpoint of the window (pi (1/2 - rho), pi / (2 alpha)).  In
-    that sector both e^(-t lam^alpha) and e^(x lam w) decay, and it is
-    open for every alpha > 1 on the admissible rho interval; narrower
-    than _MIN_WINDOW, NonConvergence names the cancellation.
-    """
-    alpha, rho = fe.params.alpha, fe.params.rho
-    window = np.pi * (rho - 0.5 + 0.5 / alpha)
-    if window < _MIN_WINDOW:
-        raise NonConvergence(
-            f"the survival integral needs e^{cap:.0f} cancellation at "
-            f"(x, t) = ({x:g}, {t:g}), more than double precision holds, "
-            f"and the sector that avoids it is {window:.2g} rad wide, "
-            f"below {_MIN_WINDOW:g}")
-    s1 = -np.log(x)
-    head = integrate_interval(
-        lambda s: fe.damped(x * np.exp(s), t * np.exp(alpha * s)),
-        s_lo, s1, tol=tol, frequency=fe.freq)
-    parts = [head]
-    if fe.coef_g != 0.0:
-        parts.append(integrate_interval(
-            lambda s: fe.coef_g * fe.g_spline(x * np.exp(s))
-            * np.exp(-t * np.exp(alpha * s)), s1, s_hi, tol=tol))
-    lam1 = 1.0 / x
-    ray = np.exp(1j * (np.pi * (0.5 - rho) + 0.5 * window))
-    w = np.exp(1j * np.pi * rho)
-
-    def osc(r):
-        lam = lam1 + r * ray
-        return np.exp(x * lam * w - t * lam ** alpha + 1j * fe.theta0) \
-            * ray / lam
-
-    # |e^(x r ray w)| = e^(-x r sin(window/2)), and Re lam^alpha grows at
-    # least like r sin(alpha window/2) past r = 1
-    decay = x * np.sin(0.5 * window) + t * np.sin(0.5 * alpha * window)
-    res = integrate_semi_infinite(
-        osc, IntegrandProfile("exponential", rate=decay, frequency=x + t),
-        tol=tol)
-    return parts + [replace(res, value=np.imag(res.value))]
+@lru_cache(maxsize=64)
+def _kernel_near_zero(params: StableParams, sig: float) -> np.ndarray:
+    """F(e^sig) and F(e^(sig + 1)): survival's rest reads them at every
+    (x, t), and G costs its closed form there."""
+    return kernel(params)(np.exp([sig, sig + 1.0]))
 
 
 def _cancellation_cap(alpha: float, t: float, growth: float) -> float:
-    """Peak exponent of e^(growth lam - t lam^alpha) over lam >= 0.
+    """Peak exponent of e^(growth lam - t lam^alpha), lam >= 0, alpha > 1.
 
     The spectral density integrand reaches e^(cap) while the result is
     O(1), so the quadrature must cancel cap nats; beyond ~22 that is
@@ -450,8 +449,6 @@ def _cancellation_cap(alpha: float, t: float, growth: float) -> float:
     """
     if growth <= 0.0:
         return 0.0
-    if alpha <= 1.0:
-        return np.inf
     # t lam_star^alpha = growth lam_star / alpha at the peak lam_star,
     # which is inf once it overflows (alpha just above 1)
     with np.errstate(over="ignore"):

@@ -27,9 +27,8 @@ DOMAIN = ([(a, r) for a in (0.2, 0.5, 0.8, 1.0)
           + [(a, r) for a in (1.2, 1.5, 1.8) for r in _across(a)]
           + [(2.0, 0.5)])
 
-# (alpha, rho, check) -> the error class its FAIL names.  (0.2, 0.5):
-# survival's lambda integral does not converge at small alpha.
-KNOWN_FAILURES = {(0.2, 0.5, "survival scaling"): "NonConvergence"}
+# (alpha, rho, check) -> the error class its FAIL names; none is known.
+KNOWN_FAILURES = {}
 
 _HALFSTABLE_ERRORS = {cls.__name__ for cls in vars(errors).values()
                       if isinstance(cls, type)
@@ -71,3 +70,12 @@ def test_records_carry_the_status_rule(monkeypatch):
     assert by_name["survival scaling"] == CheckRecord(
         "survival scaling", "FAIL", None, 1e-8,
         "NonConvergence: stub refusal")
+
+
+def test_transform_inversion_needs_rho_at_least_one_half():
+    # survival holds at (1.5, 0.45), but the inversion runs through the
+    # semigroup diagonalization, which needs rho >= 1/2
+    by_name = {r.name: r for r in run_suite(StableParams(1.5, 0.45))}
+    assert by_name["transform inversion"] == CheckRecord(
+        "transform inversion", "skipped", None, None, "needs rho >= 1/2")
+    assert all(r.status in ("ok", "skipped") for r in by_name.values())

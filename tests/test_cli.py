@@ -96,6 +96,22 @@ def test_survival_at_small_alpha_rho_hat():
     assert res.returncode == 0, res.stderr
 
 
+def test_survival_below_alpha_one_where_the_kernel_grows():
+    # alpha <= 1 with rho < 1/2 runs on the rotated ray (contour value as
+    # in test_spectral); where the sector of that ray nearly closes,
+    # survival refuses and names it
+    res = run_cli("survival", "--alpha", "0.5", "--rho", "0.2",
+                  "--x", "2", "--t", "1", "--format", "json")
+    assert res.returncode == 0, res.stderr
+    got = json.loads(res.stdout)["rows"][0]["survival"]
+    assert abs(got - 0.658492828866) <= 1e-10
+    res = run_cli("survival", "--alpha", "1.0003", "--rho", "0.0003",
+                  "--x", "2", "--t", "1")
+    assert res.returncode == 4, res.stderr
+    assert "cancellation" in res.stderr and "rad wide" in res.stderr
+    assert "e^inf" not in res.stderr
+
+
 def test_rational_rho_accepted():
     res = run_cli("doney", "--alpha", "1.4", "--rho", "3/7")
     assert res.returncode == 0
@@ -183,7 +199,7 @@ def test_complex_rows_evaluate_once_per_z(monkeypatch, capsys):
 
 
 def test_verify_reports_a_raising_check_and_goes_on():
-    res = run_cli("verify", "--quick", "--alpha", "0.2", "--rho", "0.5")
+    res = run_cli("verify", "--quick", "--alpha", "0.17", "--rho", "0.5")
     assert res.returncode == 5, res.stdout + res.stderr
     for name in ("s2 value at 1", "s2 value at (1+alpha)/2", "s2 shift by 1",
                  "s2 shift by alpha", "s2 reflection",
@@ -193,9 +209,7 @@ def test_verify_reports_a_raising_check_and_goes_on():
                  "eigenfunction laplace transform",
                  "eigenfunction mellin transform", "survival scaling"):
         assert name in res.stdout
-    line = [ln for ln in res.stdout.splitlines()
-            if ln.startswith("survival scaling")][0]
-    assert "FAIL (NonConvergence" in line
+    assert res.stdout.count("FAIL (DomainError") == 4
 
 
 def test_verify_builds_each_profile_once(capsys):

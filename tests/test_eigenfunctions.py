@@ -124,6 +124,15 @@ def test_mellin_quadrature_reports_its_noise_floor(alpha, rho):
     assert true_err < 3.0 * quad.abs_error_estimate
 
 
+def test_mellin_quadrature_converges_only_within_tol():
+    # the sub-quadratures each converge here, but their summed estimate
+    # (5.8e-7) is above tol, and the true gap is 8.5e-7
+    fn = EigenFn(StableParams(1.5, 0.6))
+    z = -0.42 - 0.8j
+    quad = mellin_f_quadrature(fn, z, tol=1e-8)
+    assert not quad.converged or abs(quad.value - mellin_f(fn, z)) <= 1e-8
+
+
 def test_laplace_abscissa_guard():
     # Re z must exceed cos(pi rho) when that is positive.
     fn = EigenFn(StableParams(1.3, 0.4))

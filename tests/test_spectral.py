@@ -310,8 +310,7 @@ def test_each_g_spline_is_built_once_whatever_the_arguments(p_generic,
         return exact(*args, **kw)
 
     monkeypatch.setattr(profiles, "CubicSpline", counting)
-    # later calls bring G arguments past those of the first call; x = 2
-    # is about the largest survival takes at (0.3, 0.5) before it refuses
+    # later calls bring G arguments past those of the first call
     slow = StableParams(0.3, 0.5)
     survival(slow, 1.0, 1.0)
     survival(slow, 2.0, 1.0)
@@ -430,6 +429,53 @@ def test_survival_scaling_on_the_positive_edge():
     first = survival(p, 2.0, 1.0)
     assert 0.0 <= first <= 1.0 + 1e-9
     assert abs(survival(p, 1.0, 2.0 ** -p.alpha) - first) <= 1e-8
+
+
+# survival at alpha <= 1 with rho < 1/2, where F grows faster than
+# e^(-t lam^alpha) decays, and at (0.5, 0.5) and (x, t) = (4, 0.2), where
+# an integral on the real axis did not converge.  Frozen 2026-10, route:
+# Kuznetsov's Mellin-Barnes form as above (trapezoid rule on Re z =
+# -alpha rho_hat/2, h = alpha rho_hat/25, |y| <= 40/(pi (rho - 1/2 +
+# 1/(2 alpha)))); halving h and widening the range 1.5x moved each by
+# less than 4e-15.
+SURVIVAL_ON_THE_RAY = {
+    (0.5, 0.2, 2.0, 1.0): 0.658492828866,
+    (0.8, 0.4, 2.0, 1.0): 0.778076758891,
+    (1.0, 0.25, 2.0, 1.0): 0.821543379879,
+    (0.5, 0.5, 4.0, 0.2): 0.960934961916,
+}
+
+
+@pytest.mark.parametrize("alpha,rho,x,t", list(SURVIVAL_ON_THE_RAY))
+def test_survival_at_small_alpha_against_contour(alpha, rho, x, t):
+    got = survival(StableParams(alpha, rho), x, t)
+    assert abs(got - SURVIVAL_ON_THE_RAY[alpha, rho, x, t]) <= 1e-9
+
+
+def test_survival_costs_at_most_2000_evaluations(monkeypatch):
+    # one adaptive quadrature per call; a real-axis integral sized for
+    # the top frequency took up to 144 000 evaluations at (4, 0.2)
+    counted = []
+
+    def counting(quad):
+        def wrapper(*args, **kw):
+            res = quad(*args, **kw)
+            counted.append(res.evaluations)
+            return res
+        return wrapper
+
+    for name in dir(spectral):
+        if name.startswith("integrate_"):
+            monkeypatch.setattr(spectral, name,
+                                counting(getattr(spectral, name)))
+    for alpha, rho in [(1.5, 0.55), (1.5, 0.45), (1.2, 0.5), (0.8, 0.6),
+                       (0.5, 0.5)]:
+        p = StableParams(alpha, rho)
+        survival(p, 1.0, 1.0)
+        for x, t in [(4.0, 0.2), (1.0, 1.0), (2.0, 1.0)]:
+            counted.clear()
+            survival(p, x, t)
+            assert 0 < sum(counted) <= 2000, (alpha, rho, x, t, counted)
 
 
 def test_round_trip_refuses_past_its_reach(p_generic, monkeypatch):
