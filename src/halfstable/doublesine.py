@@ -52,8 +52,13 @@ pi|y|/2,
     log|s2(x0 + iy)| = (pi a0 / 2 alpha) |y| - int_0^inf E(s) cos(ys) ds,
 
 exactly.  The leading term is the real part of the far-field closed
-form.  ``s2_abs_squared_on_ray`` tabulates E once per line on the same
-panels as the complex path, so each point costs one row of a cosine dot.
+form.  The moduli are taken on a lattice y = y0_j + p step: E is
+tabulated once per line on the same panels as the complex path, and by
+angle addition cos(y s) = Re e^{i y0_j s} (e^{i step s})^p, so the
+integral costs one complex exponential per offset or row and node of
+E's grid, and one matrix product.  A ray profile's Gauss-Legendre nodes
+on panels of one width are such a lattice (16 offsets, one row per
+panel); ``s2_abs_squared_on_ray``'s points are a lattice of one row.
 
 The overall sign of the integral representation is the one thing the
 algebra does not pin down cheaply, so every alpha is validated once
@@ -71,7 +76,7 @@ import numpy as np
 from scipy.special import sici
 
 from .errors import DivisionByZero, DomainError, HalfstableError, PoleProximity
-from .numerics import blocked, panel_nodes, vectorized
+from .numerics import DOT_BLOCK, blocked, panel_nodes, vectorized
 
 POLE_RADIUS = 1e-8
 MAX_LADDER_STEPS = 10_000
@@ -354,45 +359,92 @@ def s2(z, alpha):
     return out
 
 
-def _line_transform(x0, y, alpha):
-    """int_0^inf E(s) cos(y s) ds for y >= 0 on the line Re z = x0.
+def _line_transform(x0, y0, step, rows, alpha):
+    """int_0^inf E(s) cos(y s) ds on the line Re z = x0, at the lattice
+    y = y0_j + p step, p < rows: an array (rows, y0.size).
 
     E = E_a0 with the real a0 = 1 + alpha - 2 x0, tabulated once on the
     panels of ``_panels`` (T = 38 / min(x0, 1 + alpha - x0, 1), cap
-    10/max(y)).  Beyond T, E = -a0/(alpha s^2), whose cosine integral is
-    closed: int_T^inf cos(ys)/s^2 ds = cos(yT)/T - y (pi/2 - Si(yT)).
+    10/max|y|).  By angle addition the body sum_s we_s cos(y s) is
+    Re sum_s (we_s e^{i y0_j s}) (e^{i step s})^p: one complex
+    exponential per (offset or row, node) and one matrix product, where
+    a cosine per (point, node) would cost y0.size times more on a
+    lattice of many rows.  Beyond T, E = -a0/(alpha s^2), whose cosine
+    integral is closed: int_T^inf cos(ys)/s^2 ds = cos(yT)/T - y (pi/2
+    - Si(yT)).
     """
     a0 = 1.0 + alpha - 2.0 * x0
+    y = np.abs(y0 + step * np.arange(rows)[:, None])
     s, ws, big_t = _panels(a0, alpha, min(x0, 1.0 + alpha - x0, 1.0),
                            float(y.max()))
     we = ws * _weight(s, [a0], alpha)[0]
-    body = blocked(lambda yb: np.cos(np.outer(yb, s)) @ we, y, s.size)
+
+    # rows p0 + r of a block: e^{i r step s} from one table, times one
+    # exponential row e^{i p0 step s}, so each entry costs a product
+    base = np.exp(1j * np.outer(step * np.arange(min(rows, max(
+        1, DOT_BLOCK // s.size))), s))
+
+    def columns(yb):
+        head = (we * np.exp(1j * np.outer(yb, s))).T
+        return blocked(lambda pb: ((base[:pb.size]
+                                    * np.exp(1j * (pb[0] * step) * s))
+                                   @ head).real,
+                       np.arange(rows), s.size).T
+
+    body = blocked(columns, y0, s.size).T
     si, _ = sici(y * big_t)
     tail = np.cos(y * big_t) / big_t - y * (0.5 * np.pi - si)
     return body - (a0 / alpha) * tail
 
 
-def _log_abs_s2_line(x, y, alpha):
-    """log|s2(x + i y)| for real x and an array of y >= 0.
+def _log_abs_s2_line(x, y0, step, rows, alpha):
+    """log|s2(x + i y)| for real x at the lattice y = y0_j + p step,
+    p < rows: an array (rows, y0.size).
 
     The modular map, then one ladder shift k for the whole line, which
-    depends on x alone; in the window, log|s2| = (pi a0 / 2 alpha) y -
+    depends on x alone; in the window, log|s2| = (pi a0 / 2 alpha) |y| -
     int_0^inf E(s) cos(y s) ds, whose integral is dropped (below 8e-17)
-    from y = FAR_FIELD_C alpha on.
+    from |y| = FAR_FIELD_C alpha on, so the transform runs only over the
+    rows and offsets that hold a nearer point.
     """
     if alpha < 1.0:
-        return _log_abs_s2_line(x / alpha, y / alpha, 1.0 / alpha)
+        return _log_abs_s2_line(x / alpha, y0 / alpha, step / alpha, rows,
+                                1.0 / alpha)
     k = int(_ladder_steps(np.asarray(x), alpha))
     x0 = x + k
+    y = np.abs(y0 + step * np.arange(rows)[:, None])
     out = (0.5 * np.pi * (1.0 + alpha - 2.0 * x0) / alpha) * y
     near = y < FAR_FIELD_C * alpha
     if np.any(near):
-        out[near] -= _line_transform(x0, y[near], alpha)
+        live = np.flatnonzero(near.any(axis=1))
+        lo, hi = live[0], live[-1] + 1
+        cols = near[lo:hi].any(axis=0)
+        out[lo:hi, cols] -= np.where(
+            near[lo:hi][:, cols],
+            _line_transform(x0, y0[cols] + lo * step, step, hi - lo, alpha),
+            0.0)
     # the real parts of the ladder terms of _log_s2_any
     base, sign = (x, 1.0) if k > 0 else (x0, -1.0)
     for j in range(abs(k)):
         out += sign * _log_2sin((base + j + 1j * y) / alpha).real
     return out
+
+
+def _abs_squared_on_lattice(x, y0, step, rows, alpha):
+    """|s2(x + i y)|^2 at the lattice y = y0_j + p step, p < rows, for
+    real x: an array (rows, y0.size).
+
+    A ray profile's nodes u = mid_p + (w/2) t_j on panels of one width w
+    put Im w = alpha u / (2 pi) on such a lattice (16 offsets, step alpha
+    w / 2 pi), so its line transform costs one complex exponential per
+    panel and node of E's grid instead of one cosine per point and node.
+    """
+    alpha = _check_alpha(alpha)
+    _validate_convention(alpha)
+    _assert_pole_clear(x + 1j * (y0 + step * np.arange(rows)[:, None]),
+                       alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.exp(2.0 * _log_abs_s2_line(x, y0, step, rows, alpha))
 
 
 @vectorized("y")
@@ -408,19 +460,17 @@ def s2_abs_squared_on_ray(b, c, y, alpha):
 
     with E = E_a0 the weight of the complex path at the real a0 = 1 +
     alpha - 2 x0.  E is tabulated once per call on the complex path's
-    panels, and each distinct |Im w| (|s2| is even in it) costs one row
-    of a cosine dot.  Returns real values; vectorized over y.
+    panels, and the distinct |Im w| (|s2| is even in it) form a one-row
+    lattice of ``_abs_squared_on_lattice``.  Returns real values;
+    vectorized over y.
     """
     alpha = _check_alpha(alpha)
     if np.any(y <= 0):
         raise DomainError("y must be positive")
     x = b - alpha * c / (2 * np.pi)
-    im = alpha * np.log(y) / (2 * np.pi)
-    _validate_convention(alpha)
-    _assert_pole_clear(x + 1j * im, alpha)
-    ys, back = np.unique(np.abs(im), return_inverse=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.exp(2.0 * _log_abs_s2_line(x, ys, alpha))[back]
+    ys, back = np.unique(np.abs(alpha * np.log(y) / (2 * np.pi)),
+                         return_inverse=True)
+    return _abs_squared_on_lattice(x, ys, 0.0, 1, alpha)[0][back]
 
 
 @vectorized("a", dtype=complex)
@@ -500,7 +550,11 @@ def tau_binomial_check(b, s, alpha):
     Lm = min(42.0 / dn_rate, 3000.0)
     edges = np.linspace(-Lm, Lp, int(np.ceil((Lp + Lm) / 0.35)) + 1)
     nodes, wts = panel_nodes(edges, order=24)
-    pair = s2_abs_squared_on_ray(beta, 0.0, np.exp(nodes), alpha)
+    # the nodes are the first panel's 24 stepped by the panel width
+    c = alpha / (2.0 * np.pi)
+    pair = _abs_squared_on_lattice(beta, c * nodes[:24],
+                                   c * (Lp + Lm) / (edges.size - 1),
+                                   edges.size - 1, alpha).ravel()
     lhs = float(np.sum(wts * np.exp(s * nodes) * pair))
     # tails: |s2|^2 ~ e^{-b u} (u -> +inf) and e^{+b u} (u -> -inf),
     # coefficient exactly 1

@@ -53,7 +53,7 @@ from .numerics import (IntegrandProfile, QuadratureResult,
                        integrate_finite_singular, integrate_interval,
                        integrate_oscillatory_decaying,
                        integrate_semi_infinite, vectorized)
-from .profiles import g_profile
+from .profiles import _SERIES_EDGE, g_profile
 from .wienerhopf import rotated_sup_density
 
 
@@ -83,12 +83,15 @@ def g_func(params: StableParams, x, deriv=0):
 class _Kernel:
     """F at the parameters p: params for F, params.dual() for F_hat.
 
-    ``osc`` is the oscillatory part; ``f_eigen`` adds the exact G to it,
-    a call adds G from the spline of its ray profile.  ``growth`` is the
+    ``osc`` is the oscillatory part; ``exact`` (``f_eigen``) adds the
+    exact G to it, a call adds G from the spline of its ray profile, and
+    both form F below G's series edge without the constant that cancels
+    there (``_assemble``).  ``growth`` is the
     exponential rate cos(pi rho) of F, snapped to 0 below 1e-12 since
     cos(pi/2) rounds to ~6e-17; ``freq`` is its frequency sin(pi rho).
-    ``coef_g`` is the factor in front of G, and ``bound`` bounds |F| on
-    the positive axis when F is bounded.
+    ``coef_g`` is the factor in front of G, ``bound`` bounds |F| on
+    the positive axis when F is bounded, and ``g_edge`` is G's series
+    edge.
     """
 
     def __init__(self, p: StableParams):
@@ -97,12 +100,13 @@ class _Kernel:
         self.growth = float(self.cos_r) if self.cos_r > 1e-12 else 0.0
         self.freq = np.sin(np.pi * p.rho)
         self.theta0 = 0.5 * np.pi * p.rho * (1.0 - p.alpha * p.rho_hat)
-        self.coef_g, self.bound = 0.0, 1.0
+        self.coef_g, self.bound, self.g_edge = 0.0, 1.0, 0.0
         # s2(-1) = 0: alpha = 2 and the one-sided edges have no G part
         if p.alpha * p.rho_hat != 1.0:
             self.coef_g = float(np.sqrt(p.alpha) / (4.0 * np.pi)
                                 * s2(-p.alpha * p.rho_hat, p.alpha).real)
             self.bound = 1.0 + abs(self.coef_g) * float(g_func(p, 0.0))
+            self.g_edge = _SERIES_EDGE / g_profile(p).z_hi
 
     @cached_property
     def survival_coef(self) -> float:
@@ -127,7 +131,38 @@ class _Kernel:
         return g_profile(self.params).interp(v)
 
     def __call__(self, v):
-        return self.osc(v) + self.coef_g * self.g_spline(v)
+        return self._assemble(v, self.g_spline)
+
+    def exact(self, v):
+        """F with the exact G (``f_eigen``), where a call reads G's
+        spline."""
+        return self._assemble(v, g_profile(self.params).laplace)
+
+    def _assemble(self, v, g):
+        """osc(v) + coef_g G(v), with G read by g.
+
+        Below G's series edge F(0) = 0 makes that a cancellation to a
+        residual (rounding, and coef_g times the profile's error in
+        G(0)), so there F = [osc(v) - sin theta0] + coef_g [G(v) - G(0)]:
+        the first bracket from expm1 and a sine of half the phase, the
+        second from the terms of G's closed form that vanish at 0
+        (``RayProfile.rise``).
+        """
+        if self.coef_g == 0.0:
+            return self.osc(v)
+        near = v <= self.g_edge
+        if not near.any():
+            return self.osc(v) + self.coef_g * g(v)
+        out = np.empty(v.shape)
+        far = ~near
+        out[far] = self.osc(v[far]) + self.coef_g * g(v[far])
+        vn = v[near]
+        half = 0.5 * vn * self.freq
+        out[near] = np.expm1(vn * self.cos_r) \
+            * np.sin(vn * self.freq + self.theta0) \
+            + 2.0 * np.cos(self.theta0 + half) * np.sin(half) \
+            + self.coef_g * g_profile(self.params).rise(vn)
+        return out
 
     def damped(self, v, damp):
         """F(v) * e^(-damp), with the damping folded into the exponent
@@ -157,6 +192,8 @@ def f_eigen(fn: EigenFn, x, deriv=0):
     if np.any(x < 0):
         raise DomainError("x must be >= 0")
     kern = kernel(fn.params_eff)
+    if deriv == 0:
+        return kern.exact(x)
     osc = kern.osc(x, deriv)
     if kern.coef_g == 0.0:
         return osc
@@ -245,20 +282,24 @@ def mellin_f_quadrature(fn: EigenFn, z, tol=1e-8) -> QuadratureResult:
 
     big_a = 10.0
     # head: int_{-L}^{log A} e^{z u} F(e^u) du; integrand decays like
-    # e^{(Re z + alpha rho_hat) u} as u -> -inf.  F(0) = 0 arises from
-    # an exact cancellation between sin(theta0) and the G-term, leaving
-    # a rounding residual ~1e-13 in the assembled F; below the x where
-    # that residual overtakes the true C x^(alpha rho_hat) the integrand
-    # is pure amplified noise, so the head stops there, or at x = 1e-300
-    # before e^u underflows.  The rest below is the power law
-    # h(low) / (z + alpha rho_hat); its gap to the same extrapolation
-    # from low + 1 enters the error estimate.
+    # e^{(Re z + alpha rho_hat) u} as u -> -inf.  F(0) = 0 arises from a
+    # cancellation between sin(theta0) and the G-term.  Below G's series
+    # edge x_e F is formed without it (``_Kernel``); above x_e the
+    # assembled F keeps a residual of about resid, coef_g times the
+    # profile's error in G(0), which e^{z u} amplifies toward x_e, so
+    # resid e^{Re z max(low, log x_e)} / |Re z| enters the error
+    # estimate.  The head stops where such a residual would overtake the
+    # true C x^(alpha rho_hat), or at x = 1e-300 before e^u underflows.
+    # The rest below is the power law h(low) / (z + alpha rho_hat); its
+    # gap to the same extrapolation from low + 1 enters the estimate too.
     rate = z.real + alpha * rh
     low = -(np.log(1.0 / tol) + 12.0) / rate
     resid = 4e-13 * (1.0 + abs(np.sin(kern.theta0)))
     c_small = abs(f_eigen(fn, 1e-3)) / 1e-3 ** (alpha * rh) + 1e-30
     u_star = np.log(resid / c_small) / (alpha * rh)
     low = max(low, u_star, np.log(1e-300))
+    # the residual lives above G's series edge, and nowhere without G
+    log_edge = np.log(kern.g_edge) if kern.coef_g != 0.0 else np.inf
 
     def h(u):
         return np.exp(z * u) * f_eigen(fn, np.exp(u))
@@ -266,7 +307,8 @@ def mellin_f_quadrature(fn: EigenFn, z, tol=1e-8) -> QuadratureResult:
     rest = h(np.array([low, low + 1.0])) \
         * np.exp([0.0, -(z + alpha * rh)]) / (z + alpha * rh)
     trunc_err = (abs(rest[0] - rest[1])
-                 + resid * np.exp(-z.real * low) / max(abs(z.real), 1e-3))
+                 + resid * np.exp(z.real * max(low, log_edge))
+                 / max(abs(z.real), 1e-3))
     head = integrate_interval(h, low, np.log(big_a), tol=tol / 3,
                               frequency=abs(z.imag) + 2.0)
 

@@ -6,7 +6,10 @@ Most integral representations in this package share one shape: a weight
 
 integrated against a smooth kernel over z in (0, inf).  W depends only
 on (alpha, b, q), so it is tabulated once per parameter set on a
-Gauss-Legendre grid in u = log z and reused for every kernel.  Beyond
+Gauss-Legendre grid in u = log z and reused for every kernel.  The
+grid is symmetric about u = 0, where |s2| is even, so half of it is
+evaluated, and its panels of one width are one lattice of the double
+sine's line transform.  Beyond
 the grid W is a pure power with coefficient exactly 1 on both sides
 (that is what the modulus asymptotics of the double sine give), so the
 missing tails of Laplace-type integrals are added in closed form
@@ -21,7 +24,9 @@ and relative corrections O(z^{min(1,alpha)}) resp. O(z^{-min(1,alpha)}).
 
 Below x z_hi = 1e-3 the Laplace transform is a closed form: six powers
 of x plus one term Gamma(a) x^-a, with coefficients memoized per
-profile, so no incomplete gamma is evaluated there.  Each profile also
+profile, so no incomplete gamma is evaluated there.  Above it the grid
+dot runs exponentials only over its live band 1e-3 < x z <= 700, with
+the nodes below the band summed from prefix moments.  Each profile also
 serves its Laplace transform from a cubic spline in log x
 (``RayProfile.interp``) over one fixed range, built once on first use
 and kept on the profile, so ``ray_profile.cache_clear()`` drops both
@@ -40,8 +45,9 @@ from scipy.interpolate import CubicSpline
 from scipy.special import exp1, gammainc, gammaincc, gamma as _gamma_fn
 from scipy.special import zeta as _zeta
 
-from .doublesine import _poles_by_column, s2_abs_squared_on_ray
-from .errors import DomainError
+from .doublesine import (POLE_RADIUS, _abs_squared_on_lattice,
+                         _poles_by_column)
+from .errors import DomainError, PoleProximity
 from .model import StableParams
 from .numerics import blocked, panel_nodes, vectorized
 
@@ -98,6 +104,7 @@ _SPLINE_HI = 1e12       # upper edge of the laplace spline
 _SPLINE_STEP = 0.006    # its node spacing in log x
 _SERIES_EDGE = 1e-3     # x z_hi up to which laplace sums the Taylor series
 _SERIES_TERMS = 6
+_BAND_TOP = 700.0      # x z past which the grid dot stops
 _LOG_MAX = np.log(np.finfo(float).max)
 
 
@@ -155,7 +162,10 @@ class RayProfile:
     z^k (times -z for deriv 1) computed once per profile; W >= 0 bounds
     M_k by z_hi^k M_0, so the dropped terms are below 1.5e-21 M_0.  The
     two tails have series there too, and the three merge into one
-    closed form (``_small_branch``), sum_k c_k x^k + s Gamma(a) x^-a.
+    closed form (``_small_branch``), sum_k c_k x^k + s Gamma(a) x^-a;
+    ``rise`` gives its terms that vanish at x = 0.  Above the edge the
+    same series, over the nodes with x z <= 1e-3 (prefix moments), joins
+    the exponentials of the band 1e-3 < x z <= 700 (``_grid_dot``).
     ``interp`` serves laplace through a cubic spline in log x on
     [1e-3 / z_hi, 1e12], step 0.006, built once on first use and kept
     in the profile's memo: it starts at the series edge, so below it
@@ -231,17 +241,53 @@ class RayProfile:
             out[~inside] = self.laplace(x[~inside])
         return out
 
+    def rise(self, x):
+        """laplace(x) - laplace(0), deriv 0, for x z_hi <= 1e-3 where
+        laplace(0) is finite (einf + 1 < 0).
+
+        It sums only the closed form's terms that vanish at 0 (the k >= 1
+        powers and Gamma(a) x^-a, or ``_gamma_pair`` where that cancels
+        against a power), so no constant is formed to cancel; without a
+        closed form (a nonpositive integer a) it is the difference.
+        """
+        if self.einf + 1.0 >= 0.0:
+            raise DomainError("the profile integral diverges at x = 0")
+        if self._small_branch(0) is None:
+            return self.laplace(x) - self.laplace(0.0)
+        return self._memo["rise", 0](x)
+
     def _grid_dot(self, x, deriv):
-        """sum_k e^{-x z_k} zw_k, blocked by ``numerics.blocked``.  Each
-        block stops at the first node where e^{-x z} is exactly 0 for all
-        its x (x z > 750), so a large x costs only the nodes it sees."""
-        zw = self._zw(deriv)
+        """sum_k e^{-x z_k} zw_k over its live band only.
+
+        Nodes with x z <= 1e-3 enter through prefix moments (``_prefix``)
+        as sum_j (-x)^j P_j, j < 6, which drops terms below 1.5e-21 of
+        their sum, the series branch's bound.  Exponentials run only for
+        1e-3 < x z <= 700, on x sorted into blocks of ``numerics.blocked``
+        with one band each, which runs to x z = 700 for the block's
+        smallest x.  Its larger x read e^-700 in place of e^{-x z} past
+        that, an error below e^-700 of each weight, which keeps exp off
+        its subnormal range (from about e^-708 on), where it is a
+        hundred times slower.
+        """
+        zw, z = self._zw(deriv), self.z
+        order = np.argsort(x)
+        xs = x[order]
+        band = np.searchsorted(z, _BAND_TOP / xs, side="right") \
+            - np.searchsorted(z, _SERIES_EDGE / xs, side="right")
 
         def block(xb):
-            m = np.searchsorted(self.z, 750.0 / xb.min())
-            return np.exp(-np.outer(xb, self.z[:m])) @ zw[:m]
+            lo = np.searchsorted(z, _SERIES_EDGE / xb[-1], side="right")
+            hi = np.searchsorted(z, _BAND_TOP / xb[0], side="right")
+            e = np.multiply.outer(-xb, z[lo:hi])
+            np.maximum(e, -_BAND_TOP, out=e)
+            out = np.exp(e, out=e) @ zw[lo:hi]
+            if lo:
+                out += _series(self._prefix(deriv)[:, lo], -xb)
+            return out
 
-        return blocked(block, x, self.z.size)
+        out = np.empty_like(x)
+        out[order] = blocked(block, xs, max(int(band.max()), 1))
+        return out
 
     def _zw(self, deriv):
         wv = self.w * self.vals
@@ -266,6 +312,22 @@ class RayProfile:
             zw = self._zw(deriv)
             self._memo[key] = [zw @ self.z ** k / _gamma_fn(k + 1.0)
                                for k in range(_SERIES_TERMS)]
+        return self._memo[key]
+
+    def _prefix(self, deriv):
+        """P_j[k] = sum_{i<k} zw_i z_i^j / j!, j < 6, k <= N: the
+        cumulative moments that ``_grid_dot`` reads below its band.
+        Their terms are those of ``_moments``, which refuses first where
+        they overflow."""
+        key = ("prefix", deriv)
+        if key not in self._memo:
+            self._moments(deriv)
+            zw = self._zw(deriv)
+            table = np.zeros((_SERIES_TERMS, self.z.size + 1))
+            for j in range(_SERIES_TERMS):
+                np.cumsum(zw * self.z ** j / _gamma_fn(j + 1.0),
+                          out=table[j, 1:])
+            self._memo[key] = table
         return self._memo[key]
 
     def _small_branch(self, deriv):
@@ -299,6 +361,8 @@ class RayProfile:
             / _gamma_fn(k + 1.0))
             for k, m in enumerate(self._moments(deriv))]
         pair = _gamma_pair(a, n, zhi)
+        # pair(x) - pair(0) where a < 0: Gamma(a) x^-a alone at n = 0
+        lift = _gamma_pair(a, n if n > 0 else -1, zhi)
 
         def small(x):
             if a >= 0.0 and np.any(x == 0.0):
@@ -307,6 +371,8 @@ class RayProfile:
             return _series(coefs, x) + sign * pair(x)
 
         self._memo[key] = small
+        self._memo["rise", deriv] = \
+            lambda x: x * _series(coefs[1:], x) + sign * lift(x)
         return small
 
     def _low_tail(self, x, deriv):
@@ -349,16 +415,52 @@ class RayProfile:
         return out
 
 
+def _abs_squared_on_panels(b, alpha, edges, u):
+    """|s2(b + i alpha u / (2 pi))|^2 at the nodes u of ``panel_nodes``
+    on edges symmetric about 0.
+
+    |s2| is even in Im w and node j mirrors node N - 1 - j, so only the
+    panels from the middle up are evaluated.  Their trailing run of one
+    width is one lattice of ``_abs_squared_on_lattice``; the panels
+    refined near a pole before it go as one lattice row.
+    """
+    c = alpha / (2.0 * np.pi)
+    n, order = edges.size - 1, u.size // (edges.size - 1)
+    width = np.diff(edges)
+    # linspace widths agree to about 1e-14; a refined panel's do not
+    uneven = np.flatnonzero(np.abs(width - width[-1]) > 1e-12 * width[-1])
+    mid = n // 2
+    first = max(mid, uneven[-1] + 1 if uneven.size else 0)
+    parts = []
+    if first > mid:
+        parts.append(_abs_squared_on_lattice(
+            b, c * u[mid * order:first * order], 0.0, 1, alpha))
+    parts.append(_abs_squared_on_lattice(
+        b, c * u[first * order:][:order],
+        c * (edges[-1] - edges[first]) / (n - first), n - first, alpha))
+    half = np.concatenate([part.ravel() for part in parts])[-(u.size // 2):]
+    return np.concatenate((half[::-1], half))
+
+
 @lru_cache(maxsize=64)
 def ray_profile(alpha, b, q) -> RayProfile:
-    """Tabulate W(z) = z^q |s2(b + i alpha log z / 2 pi)|^2 on the grid."""
+    """Tabulate W(z) = z^q |s2(b + i alpha log z / 2 pi)|^2 on the grid.
+
+    A line Re w = b through a pole of s2 (for ``mu_profile`` at alpha
+    rho = 1) refuses with PoleProximity, naming the pole.
+    """
     alpha = float(alpha)
     b = float(b)
     q = float(q)
     u_edge = _U_EDGE if alpha >= 1.0 else _U_EDGE_BELOW_1 / alpha
     n_panels = int(np.ceil(2.0 * u_edge / _PANEL))
     edges = np.linspace(-u_edge, u_edge, n_panels + 1)
-    gap = 2.0 * np.pi * min(_poles_by_column(b, alpha))[0] / alpha
+    dist, m, n = min(_poles_by_column(b, alpha))
+    if dist <= POLE_RADIUS:
+        raise PoleProximity(
+            f"the line Re w = {b:g} passes within {POLE_RADIUS:g} of the "
+            f"pole {m} + {alpha:g}*{n} of s2")
+    gap = 2.0 * np.pi * dist / alpha
     if gap < _PANEL:
         fine = _PANEL * 0.5 ** np.arange(1, int(np.log2(0.8 / gap)) + 1)
         edges = np.sort(np.concatenate(
@@ -366,8 +468,7 @@ def ray_profile(alpha, b, q) -> RayProfile:
     u, du = panel_nodes(edges)
     z = np.exp(u)
     w = du * z  # dz = z du
-    pair = s2_abs_squared_on_ray(b, 0.0, z, alpha)
-    vals = z ** q * pair
+    vals = z ** q * _abs_squared_on_panels(b, alpha, edges, u)
     e0 = q + b - 0.5 * (1.0 + alpha)
     einf = q + 0.5 * (1.0 + alpha) - b
     return RayProfile(alpha, b, q, z, w, vals, e0, einf,

@@ -210,12 +210,34 @@ class TestFunction:
 
 def _cutoff(alpha: float, t: float, growth: float, tol: float,
             bound: float) -> float:
-    """lam beyond which e^(-t lam^alpha + growth lam) * bound < tol/10."""
+    """lam beyond which e^(-t lam^alpha + growth lam) * bound < tol/10.
+
+    That is 5% past the root of excess(lam) = t lam^alpha - growth lam -
+    L, L = log(10 bound / tol), taken from 40 steps of the fixed point
+    lam = ((L + growth lam) / t)^(1/alpha).  Near alpha = 1, with growth
+    above t, those converge at a rate near 1 and can stop far short of
+    the root, before the integrand's peak; there the root is bracketed
+    by doubling and Newton's method on the convex excess finds it.
+    """
     big_l = np.log(10.0 * max(bound, 1.0) / tol)
+
+    def excess(lam):
+        return t * lam ** alpha - growth * lam - big_l
+
     lam = (big_l / t) ** (1.0 / alpha)
     for _ in range(40 if growth > 0.0 else 0):
         lam = ((big_l + growth * lam) / t) ** (1.0 / alpha)
-    return 1.05 * lam
+    lam *= 1.05
+    if growth > 0.0 and excess(lam) < 0.0:
+        while excess(lam) < 0.0:
+            lam *= 2.0
+        for _ in range(100):  # from the right of the root: monotone
+            step = excess(lam) / (alpha * t * lam ** (alpha - 1.0) - growth)
+            lam -= step
+            if step <= 1e-15 * lam:
+                break
+        lam *= 1.05
+    return lam
 
 
 def _panel_count(b: float, freq: float, n_min: int) -> int:

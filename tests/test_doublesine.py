@@ -13,7 +13,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from halfstable.doublesine import (FAR_FIELD_C, SurfacePoint, _log_s2_any,
+from halfstable.doublesine import (FAR_FIELD_C, SurfacePoint,
+                                   _abs_squared_on_lattice, _log_s2_any,
                                    _log_s2_far, _log_s2_quadrature, log_s2,
                                    q_pochhammer, s2, s2_abs_squared_on_ray,
                                    s2_shift_ratio, tau_binomial_check)
@@ -152,6 +153,21 @@ def test_abs_squared_on_ray_shift_equation(alpha):
             * np.abs(2.0 * np.sin(np.pi * z / alpha)) ** 2
         rhs = s2_abs_squared_on_ray(b, c, y, alpha)
         assert np.max(np.abs(lhs / rhs - 1.0)) <= 1e-12, (b, c)
+
+
+@pytest.mark.parametrize("x, alpha", [(1.9, 1.5), (3.2, 1.3), (0.83, 0.6),
+                                      (2.7, 0.45)])
+def test_lattice_transform_matches_per_point_path(x, alpha):
+    # the angle-addition lattice against the one-row lattice of the same
+    # points: alpha < 1 takes the modular map, and x = 3.2, 2.7 sit off
+    # the window, so the line takes ladder shifts
+    t = np.polynomial.legendre.leggauss(16)[0]
+    c = alpha / (2.0 * np.pi)
+    y0, step, rows = c * (-1.3 + 0.1 * t), c * 0.2, 40
+    got = _abs_squared_on_lattice(x, y0, step, rows, alpha)
+    im = y0 + step * np.arange(rows)[:, None]
+    ref = s2_abs_squared_on_ray(x, 0.0, np.exp(im / c).ravel(), alpha)
+    assert_allclose(got.ravel(), ref, rtol=1e-13, atol=0.0)
 
 
 def test_shift_ratio_product():

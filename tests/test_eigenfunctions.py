@@ -124,6 +124,16 @@ def test_mellin_quadrature_reports_its_noise_floor(alpha, rho):
     assert true_err < 3.0 * quad.abs_error_estimate
 
 
+@pytest.mark.parametrize("alpha,rho", [(1.0, 0.9586), (1.5, 0.55)])
+def test_eigenfunction_is_a_power_law_near_zero(alpha, rho):
+    # F ~ C x^(alpha rho_hat): formed from terms that vanish at 0, F
+    # keeps no constant rounding residual there
+    p = StableParams(alpha, rho)
+    x = np.array([1e-300, 1e-250, 1e-200])
+    ratio = f_eigen(EigenFn(p), x) / x ** (alpha * p.rho_hat)
+    assert_allclose(ratio, ratio[0], rtol=1e-6)
+
+
 def test_mellin_quadrature_converges_only_within_tol():
     # the sub-quadratures each converge here, but their summed estimate
     # (5.8e-7) is above tol, and the true gap is 8.5e-7

@@ -343,6 +343,20 @@ def test_survival_small_alpha_rho_hat_against_contour(alpha, rho):
     assert abs(got - SURVIVAL_SMALL_RHO_HAT[alpha, rho]) <= 1e-8
 
 
+def test_density_cutoff_lies_past_the_peak_near_alpha_one():
+    # a sweep input: alpha just above 1, with the dual kernel's growth at
+    # y = 1.13 above t.  Forty fixed-point steps left the lam cutoff at
+    # 1236, short of the integrand's peak near 1450, and the density read
+    # -0.2305 there (0.1246 at tol 1e-10)
+    p = StableParams(1.0100628751192544, 0.9130245949986169)
+    y = np.array([0.5, 0.878, 1.0, 1.128714578573016])
+    got = transition_density(p, 1.0, y, 1.0)
+    assert np.all(got > 0.0)
+    assert_allclose(got, transition_density(p, 1.0, y, 1.0,
+                                            SpectralConfig(tol=1e-10)),
+                    rtol=1e-7)
+
+
 def test_survival_where_the_kernel_grows():
     # rho < 1/2: F grows like e^(x cos(pi rho) lam), and the integrand
     # peaks at e^13.3 at x = 2 (contour value as above); at (1.0003,
