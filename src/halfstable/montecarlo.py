@@ -17,6 +17,7 @@ counting, which makes sharded runs combine exactly.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -29,12 +30,22 @@ _SURVIVAL_BIAS = "discrete-monitoring bias: overestimates survival"
 _NO_BIAS = "none: exact single-increment sampling"
 
 
+def _is_int(n):
+    return isinstance(n, Integral) and not isinstance(n, bool)
+
+
+def _positive(x):
+    return bool(0.0 < x < np.inf)
+
+
 @dataclass(frozen=True)
 class PathConfig:
     """Simulation plan: path count, grid step, time horizon, seed.
 
     budget caps n_paths * horizon / dt (the total number of increments)
-    so a typo in dt fails fast instead of running for hours.
+    so a typo in dt fails fast instead of running for hours.  n_paths
+    and seed must be integers (seed nonnegative, as numpy's SeedSequence
+    takes it), dt and horizon finite.
     """
 
     n_paths: int
@@ -44,10 +55,17 @@ class PathConfig:
     budget: float = 2e9
 
     def __post_init__(self):
-        if self.n_paths <= 0:
-            raise DomainError(f"n_paths must be positive, got {self.n_paths}")
-        if self.dt <= 0 or self.horizon <= 0:
-            raise DomainError("dt and horizon must be positive")
+        if not _is_int(self.n_paths) or self.n_paths <= 0:
+            raise DomainError(
+                f"n_paths must be a positive integer, got {self.n_paths!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise DomainError(
+                f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not (_positive(self.dt) and _positive(self.horizon)):
+            raise DomainError("dt and horizon must be positive and finite, "
+                              f"got {self.dt} and {self.horizon}")
+        if not self.budget > 0:
+            raise DomainError(f"budget must be positive, got {self.budget}")
         cost = self.n_paths * self.horizon / self.dt
         if cost > self.budget:
             raise BudgetExceeded(
@@ -80,7 +98,8 @@ def _blocks(seed: int, n: int, first: int = 0, count: int = None):
     total = -(-n // _BLOCK)
     if count is None:
         count = total - first
-    if not 0 <= first <= first + count <= total:
+    if not (_is_int(first) and _is_int(count)
+            and 0 <= first <= first + count <= total):
         raise DomainError("block range outside the configured paths")
     children = np.random.SeedSequence(seed).spawn(first + count)[first:]
     for b, child in enumerate(children, start=first):
@@ -103,8 +122,9 @@ def _sweep_block(params, x, t, cfg, rng, keep):
 
 
 def _check_time(x, t, cfg):
-    if x <= 0 or t <= 0:
-        raise DomainError("x and t must be positive")
+    if not (_positive(x) and _positive(t)):
+        raise DomainError(f"x and t must be positive and finite, got {x} "
+                          f"and {t}")
     if t > cfg.horizon * (1.0 + 1e-12):
         raise DomainError(f"t={t} exceeds the configured horizon "
                           f"{cfg.horizon}")
@@ -181,6 +201,9 @@ def estimate_density(params, x: float, t: float, bins,
 def estimate_positivity(params, n: int, seed: int = 0) -> McEstimate:
     """Fraction of positive X_1 samples; checks that the increment
     sampler realizes rho = P(X_1 > 0)."""
+    if not (_is_int(n) and _is_int(seed) and seed >= 0):
+        raise DomainError("n and seed must be integers, seed nonnegative, "
+                          f"got {n!r} and {seed!r}")
     if n < 10_000:
         raise DomainError("n below 1e4 says nothing at the accuracy this "
                           "check is for")

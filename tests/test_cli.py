@@ -240,6 +240,7 @@ _EDGE_ARGVS = [
     ("transform", *_A, "--function", "stretched:1e400", "--lam", "1"),
     ("survival", *_A, "--x", "1e300", "--t", "1"),
     ("survival", *_A, "--x", "1", "--t", "1e-300"),
+    ("simulate", *_A, "--x", "1", "--t", "1", "--seed", "-1"),
     ("eigenfn", "--alpha", "0.1", "--rho", "0.9", "--x", "1"),
     ("verify", "--quick", "--alpha", "0.17", "--rho", "0.5"),
     ("survival", *_A, "--x", "1e300", "--t", "1e-300"),

@@ -6,7 +6,9 @@ from scipy import stats
 
 from halfstable import (DoneyClass, OneSidedMode, StableParams, detect_doney,
                         levy_density, one_sided_mode, psi, sample_increment)
+from halfstable import montecarlo
 from halfstable.errors import DomainError
+from halfstable.montecarlo import PathConfig, estimate_density, survival_counts
 
 
 def test_params_admissibility():
@@ -129,3 +131,86 @@ def test_sampler_positivity_and_scaling():
     assert_allclose(b, 2.0 ** (1.0 / 1.5) * a, rtol=1e-12)
     with pytest.raises(DomainError):
         sample_increment(p, 0.0, rng)
+
+
+def _cms_reference(params, t, rng, size=None):
+    """The textbook Chambers-Mallows-Stuck form of the general branch:
+    three trig calls and two powers, on the same draws in the same
+    order."""
+    alpha, rho = params.alpha, params.rho
+    b = np.pi * (rho - 0.5)
+    v = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
+    w = rng.standard_exponential(size)
+    s = np.sin(alpha * (v + b)) / np.cos(v) ** (1.0 / alpha)
+    tail = (np.cos(v - alpha * (v + b)) / w) ** ((1.0 - alpha) / alpha)
+    return t ** (1.0 / alpha) * s * tail
+
+
+# alpha across (0, 2) on both sides of 1, and both one-sided edges
+_CMS_SETS = [(0.2, 0.5), (0.5, 0.3), (0.8, 0.6), (0.999, 0.7), (1.001, 0.4),
+             (1.5, 0.6), (1.9, 0.52), (1.5, 1 / 1.5), (1.5, 1 - 1 / 1.5)]
+
+
+@pytest.mark.parametrize("alpha, rho", _CMS_SETS)
+def test_sampler_matches_the_textbook_form(alpha, rho):
+    p = StableParams(alpha, rho)
+    want = _cms_reference(p, 0.3, np.random.default_rng(21), 200_000)
+    got = sample_increment(p, 0.3, np.random.default_rng(21), 200_000)
+    assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha, rho", [(1.5, 0.6), (0.8, 0.5),
+                                        (1.5, 1 / 1.5)])
+def test_paths_match_the_textbook_form(monkeypatch, alpha, rho):
+    # one block: the same survivors and the same histogram, path by path
+    p = StableParams(alpha, rho)
+    cfg = PathConfig(n_paths=8192, dt=1e-2, horizon=1.0, seed=3)
+    bins = np.linspace(0.0, 6.0, 25)
+
+    def run():
+        hist = estimate_density(p, 1.0, 1.0, bins, cfg)
+        return survival_counts(p, 1.0, 1.0, cfg), [h.value for h in hist]
+
+    got = run()
+    monkeypatch.setattr(montecarlo, "sample_increment", _cms_reference)
+    assert run() == got
+
+
+class _EndpointRng:
+    """Draws v at both ends of uniform's range and w = 1e-300."""
+
+    def uniform(self, low, high, size):
+        return np.array([low, high])
+
+    def standard_exponential(self, size):
+        return np.full(size, 1e-300)
+
+
+@pytest.mark.parametrize("alpha, rho", _CMS_SETS)
+def test_sampler_at_the_ends_of_its_draws(alpha, rho):
+    p = StableParams(alpha, rho)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        want = _cms_reference(p, 1.0, _EndpointRng(), 2)
+    if alpha < 0.8:
+        # the exact draw lies past the double range: an inf, with a warning
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got = sample_increment(p, 1.0, _EndpointRng(), 2)
+    else:
+        got = sample_increment(p, 1.0, _EndpointRng(), 2)
+        assert np.all(np.isfinite(got))
+    assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha, rho", [(2.0, 0.5), (1.0, 0.7), (0.5, 0.3),
+                                        (1.5, 0.6)])
+def test_sampler_without_size_draws_one_float(alpha, rho):
+    p = StableParams(alpha, rho)
+    x = sample_increment(p, 1.0, np.random.default_rng(8))
+    assert isinstance(x, float) and np.isfinite(x)
+    assert x == sample_increment(p, 1.0, np.random.default_rng(8), 1)[0]
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_sampler_refuses_a_non_finite_time(t):
+    with pytest.raises(DomainError, match="t must be"):
+        sample_increment(StableParams(1.5, 0.6), t, np.random.default_rng(8))

@@ -28,6 +28,26 @@ def test_path_config_validation():
         PathConfig(n_paths=10, dt=-0.01, horizon=1.0, seed=1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_paths", 2e4), ("n_paths", True), ("dt", float("nan")),
+    ("horizon", float("nan")), ("horizon", float("inf")), ("seed", -1),
+    ("seed", 1.0), ("budget", float("nan"))])
+def test_path_config_refuses_by_name(field, value):
+    kwargs = dict(n_paths=10, dt=0.01, horizon=1.0, seed=1)
+    kwargs[field] = value
+    with pytest.raises(DomainError, match=field):
+        PathConfig(**kwargs)
+
+
+@pytest.mark.parametrize("x, t", [(float("nan"), 1.0), (1.0, float("nan")),
+                                  (float("inf"), 1.0)])
+def test_time_arguments_refuse_by_name(x, t):
+    with pytest.raises(DomainError, match="x and t"):
+        estimate_survival(P, x, t, CFG)
+    with pytest.raises(DomainError, match="x and t"):
+        estimate_density(P, x, t, [0.0, 1.0], CFG)
+
+
 def test_budget_trips_before_running():
     # 1e6 paths at dt=1e-6 would be 1e12 increments
     with pytest.raises(BudgetExceeded):
@@ -62,6 +82,13 @@ def test_shard_range_validation():
         survival_counts(P, 1.0, 1.0, CFG, first_block=5)  # only 3 blocks
 
 
+@pytest.mark.parametrize("shard", [dict(first_block=0.5),
+                                   dict(n_blocks=1.0)])
+def test_shard_range_must_be_integers(shard):
+    with pytest.raises(DomainError, match="block range"):
+        survival_counts(P, 1.0, 1.0, CFG, **shard)
+
+
 def test_bias_notes_are_stable_strings():
     est = estimate_survival(P, 1.0, 1.0, CFG)
     assert est.bias_note == "discrete-monitoring bias: overestimates survival"
@@ -93,6 +120,12 @@ def test_positivity_pull():
 def test_positivity_needs_enough_samples():
     with pytest.raises(DomainError):
         estimate_positivity(P, 5_000)
+
+
+@pytest.mark.parametrize("n, seed", [(2e4, 0), (20_000, -1), (20_000, 1.5)])
+def test_positivity_refuses_non_integer_counts_and_seeds(n, seed):
+    with pytest.raises(DomainError, match="n and seed"):
+        estimate_positivity(P, n, seed)
 
 
 def test_brownian_survival_biased_above_erf(p_brownian):
