@@ -39,10 +39,9 @@ with it.  Far from the real axis it is not needed: with B_22(z | 1, alpha)
 
 (Kurokawa & Koyama, "Multiple sine functions", Forum Math. 15 (2003)),
 and window points with |Im z| >= Y(alpha) = 5.9 alpha, where the
-remainder is below 8e-17, take this closed form.  The rest are grouped
-by floor(|Im z|), and each group's grid is sized by its own points, so
-a point's cost is set by its own |Im z| and not by the largest one in
-its batch.
+remainder is below 8e-17, take this closed form.  The rest share one
+grid, sized by the largest |Im z| among them; the callers' batches hold
+one or two such points.
 
 Moduli on a vertical line Re z = x0 of the window need only the real
 weight E = E_a0, a0 = 1 + alpha - 2 x0: at z = x0 + iy the real part of
@@ -206,20 +205,14 @@ def _log_s2_far(w, alpha):
 def _log_s2_window(w, alpha):
     """log s2 on the window alpha/2 <= Re w < alpha/2 + 1, for alpha >= 1.
 
-    Points with |Im w| >= FAR_FIELD_C alpha take the closed form.  The
-    others are grouped by floor(|Im w|) and each group gets a quadrature
-    grid sized by its own points, so no point pays for the largest
-    |Im w| of its batch.
+    Points with |Im w| >= FAR_FIELD_C alpha take the closed form, and
+    the others one quadrature grid, sized by the largest of their |Im w|.
     """
     w = np.asarray(w, dtype=complex)
-    im = np.abs(w.imag)
-    # group key -1 is the closed form, which NaN also takes and stays NaN
-    key = np.where(im < FAR_FIELD_C * alpha, np.floor(im), -1.0)
-    out = np.empty(w.shape, dtype=complex)
-    for k in set(key.tolist()):
-        group = key == k
-        evaluate = _log_s2_far if k < 0 else _log_s2_quadrature
-        out[group] = evaluate(w[group], alpha)
+    near = np.abs(w.imag) < FAR_FIELD_C * alpha  # NaN stays NaN in far
+    out = _log_s2_far(w, alpha)
+    if near.any():
+        out[near] = _log_s2_quadrature(w[near], alpha)
     return out
 
 

@@ -51,7 +51,6 @@ from .errors import DomainError
 from .model import DoneyClass, StableParams, detect_doney
 from .numerics import (IntegrandProfile, QuadratureResult,
                        integrate_finite_singular, integrate_interval,
-                       integrate_oscillatory_decaying,
                        integrate_semi_infinite, vectorized)
 from .profiles import _SERIES_EDGE, g_profile
 from .wienerhopf import rotated_sup_density
@@ -107,12 +106,20 @@ class _Kernel:
                                 * s2(-p.alpha * p.rho_hat, p.alpha).real)
             self.bound = 1.0 + abs(self.coef_g) * float(g_func(p, 0.0))
             self.g_edge = _SERIES_EDGE / g_profile(p).z_hi
+        self._near = {}
 
     @cached_property
     def survival_coef(self) -> float:
         """(sqrt(alpha)/pi) Re s2(alpha rho_hat), survival's constant."""
         a, rh = self.params.alpha, self.params.rho_hat
         return (np.sqrt(a) / np.pi) * np.real(s2(a * rh, a))
+
+    def near_zero(self, sig):
+        """F(e^sig) and F(e^(sig + 1)), kept per sig: survival's rest
+        reads them at every (x, t), and G costs its closed form there."""
+        if sig not in self._near:
+            self._near[sig] = self(np.exp([sig, sig + 1.0]))
+        return self._near[sig]
 
     def osc(self, v, deriv=0):
         """e^(v cos(pi rho)) sin(v sin(pi rho) + theta0), or its
@@ -315,15 +322,12 @@ def mellin_f_quadrature(fn: EigenFn, z, tol=1e-8) -> QuadratureResult:
     def osc_part(x):
         return x ** (z - 1.0) * kern.osc(x)
 
-    if r > 0.5:
-        tail_osc = integrate_semi_infinite(
-            lambda t: osc_part(big_a + t),
-            IntegrandProfile("exponential", rate=-kern.cos_r,
-                             frequency=kern.freq),
-            tol=tol / 3)
-    else:
-        tail_osc = integrate_oscillatory_decaying(
-            osc_part, kern.freq, tol=tol / 3, start=big_a)
+    # rho = 1/2: the envelope is x^(Re z - 1), accelerated
+    decay = IntegrandProfile("exponential", rate=-kern.cos_r,
+                             frequency=kern.freq) if r > 0.5 else \
+        IntegrandProfile("power", rate=z.real - 1.0, frequency=kern.freq)
+    tail_osc = integrate_semi_infinite(lambda t: osc_part(big_a + t), decay,
+                                       tol=tol / 3)
 
     cg = kern.coef_g
     if cg != 0.0:

@@ -184,15 +184,21 @@ def _adaptive_panels(f, edges, tol, max_evals):
         lo, hi, vals, errs = lo[keep], hi[keep], vals[keep], errs[keep]
 
 
-def _initial_edges(a, b, frequency, max_panels=4000):
-    """Panel edges on [a, b], capped so no panel spans too much phase."""
+def _panels_on(f, a, b, frequency, extra, tol, max_evals):
+    """_adaptive_panels on [a, b] from its initial edges: at least 4 and
+    at most 16 panels, more when the frequency asks (each panel spanning
+    at most 6 radians, up to 4000 panels), and the points of ``extra``
+    inside (a, b) forced as edges."""
     length = b - a
     n = max(4, min(16, int(np.ceil(2.0 * length))))
     if frequency > 0:
         # capped before the int conversion: an overflowed frequency is inf
-        n = max(n, int(min(np.ceil(length * frequency / 6.0), max_panels)))
-    n = min(n, max_panels)
-    return np.linspace(a, b, n + 1)
+        n = max(n, int(min(np.ceil(length * frequency / 6.0), 4000)))
+    edges = np.linspace(a, b, min(n, 4000) + 1)
+    inside = [float(e) for e in extra if a < e < b]
+    if inside:
+        edges = np.union1d(edges, inside)
+    return _adaptive_panels(f, edges, tol, max_evals)
 
 
 _X_FLOOR = 1e-300  # the smallest x at which f is evaluated
@@ -263,25 +269,15 @@ def integrate_semi_infinite(f, profile, tol=DEFAULT_TOL, max_evals=500_000,
         return integrate_oscillatory_decaying(
             f, profile.frequency, tol=tol, max_evals=max_evals)
 
-    total = 0.0
-    err_total = 0.0
-    evals = 0
-    converged = True
-    ex = sorted(float(e) for e in extra_edges if e > 0.0)
-
+    ex = [float(e) for e in extra_edges]
+    parts = []
     if profile.decay == "power":
-        cut = 1.0
-        upper = cut
+        cut = upper = 1.0
         # Tail via x = 1/v: the algebraic decay becomes an endpoint
         # exponent -2 - rate > -1 at v = 0.
-        gam = -2.0 - profile.rate
-        tail, terr, tev, tok = _power_endpoint_panels(
-            lambda v: f(1.0 / v) / v**2, 1.0 / cut, gam, 0.0, tol / 2,
-            max_evals // 2, extra=[1.0 / e for e in ex if e > cut])
-        total = total + tail
-        err_total += terr
-        evals += tev
-        converged &= tok
+        parts.append(_power_endpoint_panels(
+            lambda v: f(1.0 / v) / v**2, 1.0 / cut, -2.0 - profile.rate, 0.0,
+            tol / 2, max_evals // 2, extra=[1.0 / e for e in ex if e > cut]))
     else:
         # Truncation point: exp(-rate*T) below tol with margin.
         upper = (np.log(max(1.0 / max(tol, 1e-300), 1.0)) + 12.0) / profile.rate
@@ -289,37 +285,24 @@ def integrate_semi_infinite(f, profile, tol=DEFAULT_TOL, max_evals=500_000,
         cut = min(1.0, upper / 2)
 
     if profile.singularity != 0.0:
-        head, herr, hev, hok = _power_endpoint_panels(
+        parts.append(_power_endpoint_panels(
             f, cut, profile.singularity, profile.frequency, tol / 2,
-            max_evals // 2, extra=ex)
+            max_evals // 2, extra=ex))
     else:
-        edges = _initial_edges(0.0, cut, profile.frequency)
-        inside = [e for e in ex if e < cut]
-        if inside:
-            edges = np.union1d(edges, inside)
-        head, herr, hev, hok = _adaptive_panels(f, edges, tol / 2,
-                                                max_evals // 2)
-    total = total + head
-    err_total += herr
-    evals += hev
-    converged &= hok
-
+        parts.append(_panels_on(f, 0.0, cut, profile.frequency, ex, tol / 2,
+                                max_evals // 2))
     if upper > cut:
-        edges = _initial_edges(cut, upper, profile.frequency)
-        inside = [e for e in ex if cut < e < upper]
-        if inside:
-            edges = np.union1d(edges, inside)
-        body, berr, bev, bok = _adaptive_panels(
-            f, edges, tol / 2, max(max_evals - evals, 1000))
-        total = total + body
-        err_total += berr
-        evals += bev
-        converged &= bok
+        spent = sum(part[2] for part in parts)
+        parts.append(_panels_on(f, cut, upper, profile.frequency, ex, tol / 2,
+                                max(max_evals - spent, 1000)))
 
+    total = sum(part[0] for part in parts)
     # rounding floor: panel-difference estimates can flatline below the
     # accumulation noise of the sum itself
-    err_total = max(err_total, 2e-15 * (1.0 + abs(total)))
-    return QuadratureResult(total, err_total, bool(converged), evals)
+    err_total = max(sum(part[1] for part in parts),
+                    2e-15 * (1.0 + abs(total)))
+    return QuadratureResult(total, err_total, all(part[3] for part in parts),
+                            sum(part[2] for part in parts))
 
 
 def integrate_interval(f, a, b, tol=DEFAULT_TOL, frequency=0.0,
@@ -329,11 +312,8 @@ def integrate_interval(f, a, b, tol=DEFAULT_TOL, frequency=0.0,
     ``frequency`` caps the initial panel width for oscillatory
     integrands; ``extra_edges`` forces interior breakpoints.
     """
-    edges = _initial_edges(a, b, frequency)
-    inside = [float(e) for e in extra_edges if a < e < b]
-    if inside:
-        edges = np.union1d(edges, inside)
-    val, err, ev, ok = _adaptive_panels(f, edges, tol, max_evals)
+    val, err, ev, ok = _panels_on(f, a, b, frequency, extra_edges, tol,
+                                  max_evals)
     err = max(err, 2e-15 * (1.0 + abs(val)))
     return QuadratureResult(val, err, bool(ok), ev)
 

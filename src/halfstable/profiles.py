@@ -118,7 +118,7 @@ def _series(coefs, y):
 
 def _gamma_pair(a, n, zhi):
     """x -> Gamma(a) x^-a - (-1)^n z_hi^(a+n) x^n / (n! (a+n)), or just
-    Gamma(a) x^-a for n < 0, for x z_hi <= 1e-3 and a + n not 0.
+    Gamma(a) x^-a for n < 0, for x z_hi <= 1e-3.
 
     With eps = a + n the two terms are each O(1/eps) and their sum is
     not.  Writing Gamma(a) = (-1)^n R / (n! eps), R = Gamma(1 + eps) /
@@ -127,6 +127,9 @@ def _gamma_pair(a, n, zhi):
     log Gamma(1 + eps) and L = log(x z_hi).  That form holds full
     precision while eps |L| < 1; beyond it the terms differ enough that
     the direct sum does, and pow keeps x^-a exact where exp would not.
+    At eps = 0 (a a nonpositive integer) the sum is its limit (-1)^n x^n
+    (psi(n+1) - L) / n!, psi(n+1) = -euler + H_n, which is 0 at x = 0
+    for n >= 1.
     """
     gam = _gamma_fn(a)
     if n < 0:
@@ -135,6 +138,16 @@ def _gamma_pair(a, n, zhi):
                 return gam * x ** (-a)
         return direct
     eps = a + n
+    if eps == 0.0:
+        psi = -np.euler_gamma + sum(1.0 / j for j in range(1, n + 1))
+        fac = (-1.0) ** n / _gamma_fn(n + 1.0)
+
+        def limit(x):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val = fac * x ** n * (psi - np.log(x * zhi))
+            return np.where(x == 0.0, 0.0, val)
+
+        return limit
     k = np.arange(2, 64)
     # log Gamma(1 + eps) / eps = -euler + sum_k (-1)^k zeta(k) eps^(k-1)/k
     ell = (-np.euler_gamma + np.sum((-1.0) ** k * _zeta(k) * eps ** (k - 1)
@@ -197,17 +210,14 @@ class RayProfile:
         with np.errstate(over="ignore"):  # x z_hi = inf is not small
             small = x * self.z_hi <= _SERIES_EDGE
         closed = self._small_branch(deriv)
-        # the closed form holds both tails; the series (at a nonpositive
-        # integer a) and the grid dot take them from _low/_high_tail
-        tails = ~small if closed else np.ones(x.shape, dtype=bool)
         if np.any(small):
-            out[small] = closed(x[small]) if closed \
-                else _series(self._moments(deriv), -x[small])
+            out[small] = closed(x[small])
         if not np.all(small):
-            out[~small] = self._grid_dot(x[~small], deriv)
-        if np.any(tails):
-            out[tails] += self._low_tail(x[tails], deriv) \
-                + self._high_tail(x[tails], deriv)
+            # the grid dot first, then its two tails
+            big = ~small
+            out[big] = self._grid_dot(x[big], deriv)
+            out[big] += self._low_tail(x[big], deriv) \
+                + self._high_tail(x[big], deriv)
         return out
 
     def interp(self, x):
@@ -247,13 +257,11 @@ class RayProfile:
 
         It sums only the closed form's terms that vanish at 0 (the k >= 1
         powers and Gamma(a) x^-a, or ``_gamma_pair`` where that cancels
-        against a power), so no constant is formed to cancel; without a
-        closed form (a nonpositive integer a) it is the difference.
+        against a power), so no constant is formed to cancel.
         """
         if self.einf + 1.0 >= 0.0:
             raise DomainError("the profile integral diverges at x = 0")
-        if self._small_branch(0) is None:
-            return self.laplace(x) - self.laplace(0.0)
+        self._small_branch(0)
         return self._memo["rise", 0](x)
 
     def _grid_dot(self, x, deriv):
@@ -331,7 +339,7 @@ class RayProfile:
         return self._memo[key]
 
     def _small_branch(self, deriv):
-        """laplace below the series edge as a function of x, or None.
+        """laplace below the series edge as a function of x.
 
         For x z_hi <= 1e-3 the grid dot (its Taylor series), the low
         tail (its series) and the high tail x^-a Gamma(a, z_hi x) =
@@ -339,18 +347,14 @@ class RayProfile:
         einf + 1 + deriv, merge into sum_k c_k x^k + s Gamma(a) x^-a,
         k < 6, with s = -1 for deriv 1; the c_k are memoized per deriv.
         Below a = 1/2 the tail term k = n nearest to -a cancels against
-        Gamma(a) x^-a (``_gamma_pair`` sums the two).  A nonpositive
-        integer a (alpha = 2, and the one-sided edges where a rounds to
-        exactly -1 or 0) has no such form, and None sends it the
-        series-plus-tails route.
+        Gamma(a) x^-a (``_gamma_pair`` sums the two, or takes their limit
+        at a nonpositive integer a: alpha = 2, and the one-sided edge
+        where a rounds to exactly -1 or 0).
         """
         key = ("small", deriv)
         if key in self._memo:
             return self._memo[key]
         a = self.einf + 1.0 + deriv
-        if a <= 0.0 and a == np.round(a):
-            self._memo[key] = None
-            return None
         sign = -1.0 if deriv == 1 else 1.0
         zlo, zhi = self.z_lo, self.z_hi
         a_lo = self.e0 + 1.0 + deriv

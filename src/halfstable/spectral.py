@@ -34,7 +34,8 @@ double sine constants (``eigenfunctions.kernel``), kept beside it:
 Third, integrals that converge only conditionally (the inversion
 Pi Pi_hat u and the eigenfunction check, whose tails decay like 1/lam
 times an oscillation) are split at a finite point and finished with the
-zero-partition averaging accelerator from ``numerics``.
+zero-partition averaging accelerator from ``numerics``, in one routine
+that stops the tail at the reach of the kernel it integrates.
 
 Survival is defined at every admissible (alpha, rho): where F grows
 (rho < 1/2) its oscillation leaves the real axis at lam = 1/x for a ray
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -213,11 +213,10 @@ def _cutoff(alpha: float, t: float, growth: float, tol: float,
     """lam beyond which e^(-t lam^alpha + growth lam) * bound < tol/10.
 
     That is 5% past the root of excess(lam) = t lam^alpha - growth lam -
-    L, L = log(10 bound / tol), taken from 40 steps of the fixed point
-    lam = ((L + growth lam) / t)^(1/alpha).  Near alpha = 1, with growth
-    above t, those converge at a rate near 1 and can stop far short of
-    the root, before the integrand's peak; there the root is bracketed
-    by doubling and Newton's method on the convex excess finds it.
+    L, L = log(10 bound / tol): (L / t)^(1/alpha) without growth.  With
+    growth, which only the density has and only at alpha > 1, the excess
+    is convex and negative at that point, so the root is bracketed by
+    doubling and Newton's method from its right finds it.
     """
     big_l = np.log(10.0 * max(bound, 1.0) / tol)
 
@@ -225,10 +224,7 @@ def _cutoff(alpha: float, t: float, growth: float, tol: float,
         return t * lam ** alpha - growth * lam - big_l
 
     lam = (big_l / t) ** (1.0 / alpha)
-    for _ in range(40 if growth > 0.0 else 0):
-        lam = ((big_l + growth * lam) / t) ** (1.0 / alpha)
-    lam *= 1.05
-    if growth > 0.0 and excess(lam) < 0.0:
+    if growth > 0.0:
         while excess(lam) < 0.0:
             lam *= 2.0
         for _ in range(100):  # from the right of the root: monotone
@@ -236,8 +232,7 @@ def _cutoff(alpha: float, t: float, growth: float, tol: float,
             lam -= step
             if step <= 1e-15 * lam:
                 break
-        lam *= 1.05
-    return lam
+    return lam * 1.05
 
 
 def _panel_count(b: float, freq: float, n_min: int) -> int:
@@ -432,7 +427,7 @@ def survival(params: StableParams, x: float, t: float,
         return out
 
     # the integral below sigma_lo, extrapolated from sigma_lo and + 1
-    rest = _kernel_near_zero(params, sig_lo) * np.exp([0.0, -rate]) / rate \
+    rest = fe.near_zero(sig_lo) * np.exp([0.0, -rate]) / rate \
         * damping(np.array([sig_lo, sig_lo + 1.0]))
     if abs(rest[0] - rest[1]) > cfg.tol / 3.0:
         raise NonConvergence(
@@ -453,13 +448,6 @@ def survival(params: StableParams, x: float, t: float,
             warnings.warn(f"survival value {value} outside [0, 1]",
                           stacklevel=2)
     return float(value)
-
-
-@lru_cache(maxsize=64)
-def _kernel_near_zero(params: StableParams, sig: float) -> np.ndarray:
-    """F(e^sig) and F(e^(sig + 1)): survival's rest reads them at every
-    (x, t), and G costs its closed form there."""
-    return kernel(params)(np.exp([sig, sig + 1.0]))
 
 
 def _cancellation_cap(alpha: float, t: float, growth: float) -> float:
@@ -726,8 +714,31 @@ def semigroup_apply(params: StableParams, u: TestFunction, t: float,
     return np.sqrt(_TWO_OVER_PI) * out
 
 
-# Half-period panels the round trip's accelerated tail may sum.
+# Half-period panels the accelerated tails may sum, past the two the
+# accelerator always takes: the round trip's, and eigen_check's
 _TAIL_PANELS = 512
+_EIGEN_TAIL_PANELS = 50
+
+
+def _head_and_tail(integrand, start, freq, tol, tail_tol, panels, reach,
+                   what):
+    """int integrand over (start 1e-8, inf): adaptive panels at tol up to
+    start, then the oscillation accelerator at tail_tol for at most
+    panels + 2 half-periods pi/freq, up to the reach its caller's kernel
+    was built for.  A part that does not converge raises NonConvergence,
+    named with ``what``: the integral, its variable and that kernel."""
+    head = integrate_interval(integrand, start * 1e-8, start, tol=tol,
+                              frequency=freq)
+    tail = integrate_oscillatory_decaying(integrand, freq, tol=tail_tol,
+                                          start=start, max_evals=16 * panels)
+    name, var, kern = what
+    for part, res in (("head", head), ("tail", tail)):
+        if not res.converged:
+            raise NonConvergence(
+                f"{name}'s {part} did not converge by {var} = {reach:.4g} "
+                f"({panels + 2} half-periods), the reach of its {kern} "
+                f"(error estimate {res.abs_error_estimate:.2e})")
+    return head.value + tail.value
 
 
 def pi_round_trip(params: StableParams, u: TestFunction, x: float,
@@ -748,7 +759,6 @@ def pi_round_trip(params: StableParams, u: TestFunction, x: float,
     fe = kernel(params)
     freq = x * fe.freq
     lam0 = 30.0
-    # integrate_oscillatory_decaying sums 2 + max_evals // 16 panels
     reach = lam0 + (_TAIL_PANELS + 2) * np.pi / freq
     kern = _TransformKernel(kernel(params.dual()), u,
                             reach / _KERNEL_REACH, cfg)
@@ -756,19 +766,10 @@ def pi_round_trip(params: StableParams, u: TestFunction, x: float,
     def integrand(lams):
         return fe(x * lams) * kern(lams)
 
-    head = integrate_interval(integrand, lam0 * 1e-8, lam0,
-                              tol=cfg.tol, frequency=freq)
-    tail = integrate_oscillatory_decaying(
-        integrand, freq, tol=max(cfg.tol, 1e-9), start=lam0,
-        max_evals=16 * _TAIL_PANELS)
-    for part, res in (("head", head), ("tail", tail)):
-        if not res.converged:
-            raise NonConvergence(
-                f"the round trip's {part} did not converge by lambda = "
-                f"{reach:.4g} ({_TAIL_PANELS + 2} half-periods), the "
-                f"reach of its inner transform (error estimate "
-                f"{res.abs_error_estimate:.2e})")
-    return float(np.sqrt(_TWO_OVER_PI) * (head.value + tail.value))
+    value = _head_and_tail(integrand, lam0, freq, cfg.tol, max(cfg.tol, 1e-9),
+                           _TAIL_PANELS, reach,
+                           ("the round trip", "lambda", "inner transform"))
+    return float(np.sqrt(_TWO_OVER_PI) * value)
 
 
 def eigen_check(params: StableParams, lam: float, t: float, x: float,
@@ -777,8 +778,11 @@ def eigen_check(params: StableParams, lam: float, t: float, x: float,
     integrated against F(lam .) versus e^(-t lam^alpha) F(lam x).
 
     The y-integral's tail decays like y^(-1-alpha) times an oscillation
-    and is accelerated; lam below 0.1 is refused (both sides of the
-    relation degenerate toward 0 and the ratio is noise).
+    and is accelerated, for at most 52 half-periods past y0 = 25 + 4/lam,
+    the y range the density is built for (with 2% to spare); a head or
+    tail that does not converge within it raises NonConvergence.  lam
+    below 0.1 is refused (both sides of the relation degenerate toward 0
+    and the ratio is noise).
     """
     _check_defined(params, "diagonalization")
     _check_defined(params, "density")
@@ -789,7 +793,8 @@ def eigen_check(params: StableParams, lam: float, t: float, x: float,
     fe = kernel(params)
     freq = lam * fe.freq
     y0 = 25.0 + 4.0 / lam
-    y_hi = 1.02 * (y0 + 52.0 * np.pi / freq)
+    reach = y0 + (_EIGEN_TAIL_PANELS + 2) * np.pi / freq
+    y_hi = 1.02 * reach
     try:
         kern = _HeatKernel(params, x, t, y_hi, cfg)
     except DomainError as exc:  # F grows nowhere here: only F_hat does
@@ -804,11 +809,9 @@ def eigen_check(params: StableParams, lam: float, t: float, x: float,
     def integrand(y):
         return kern(y) * fe(lam * y)
 
-    head = integrate_interval(integrand, y0 * 1e-8, y0,
-                              tol=cfg.tol, frequency=freq)
-    tail = integrate_oscillatory_decaying(
-        integrand, freq, tol=max(cfg.tol, 1e-8), start=y0)
-    lhs = head.value + tail.value
+    lhs = _head_and_tail(integrand, y0, freq, cfg.tol, max(cfg.tol, 1e-8),
+                         _EIGEN_TAIL_PANELS, reach,
+                         ("eigen_check", "y", "density"))
     rhs = np.exp(-t * lam ** params.alpha) \
         * float(f_eigen(EigenFn(params), lam * x))
     return float(abs(lhs - rhs) / abs(rhs))

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from halfstable import StableParams, survival
+from halfstable.eigenfunctions import doney_g, g_func
 from halfstable.doublesine import s2_abs_squared_on_ray
 from halfstable.errors import PoleProximity
 from halfstable.profiles import (_SERIES_EDGE, _SPLINE_HI, _SPLINE_STEP,
@@ -99,9 +100,9 @@ _SETS = [(1.5, 0.55), (0.8, 0.6), (0.3, 0.5), (1.9786, 0.5054),
 @pytest.mark.parametrize("deriv", [0, 1])
 def test_closed_small_branch_matches_series_and_tails(alpha, rho, profile,
                                                       deriv):
-    # below the series edge laplace is one closed form; the route it
-    # replaced is the grid's Taylor series plus the two incomplete-gamma
-    # tails, which a nonpositive integer a still takes
+    # below the series edge laplace is one closed form at every a (at a
+    # nonpositive integer through its limit); the route it replaced is
+    # the grid's Taylor series plus the two incomplete-gamma tails
     prof = profile(StableParams(alpha, rho))
     x = np.geomspace(1e-300, _SERIES_EDGE / prof.z_hi, 300)
     with warnings.catch_warnings():
@@ -111,11 +112,25 @@ def test_closed_small_branch_matches_series_and_tails(alpha, rho, profile,
         ref = _series(prof._moments(deriv), -x) \
             + prof._low_tail(x, deriv) + prof._high_tail(x, deriv)
     a = prof.einf + 1.0 + deriv
-    assert (prof._small_branch(deriv) is None) == (a <= 0 and a == round(a))
     assert np.array_equal(np.isfinite(got), np.isfinite(ref))
     assert np.all(np.isfinite(got) | (a > 1.0))
     fin = np.isfinite(ref)
     assert_allclose(got[fin], ref[fin], rtol=2e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [1.25, 1.5, 1.8])
+def test_positive_edge_takes_the_closed_form_limit(alpha):
+    # rho = 1 - 1/alpha (Doney class k = l = -1): alpha rho_hat = 1, so a
+    # is exactly -1 for G and 0 for G', where the closed form below the
+    # series edge is the limit of Gamma(a) x^-a and its tail term
+    p = StableParams(alpha, 1.0 - 1.0 / alpha)
+    assert abs(g_func(p, 0.0) / doney_g(p, 0.0) - 1.0) <= 1e-14
+    prof = g_profile(p)
+    x = np.geomspace(1e-300, _SERIES_EDGE / prof.z_hi, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for deriv in (0, 1):
+            assert np.all(np.isfinite(prof.laplace(x, deriv=deriv)))
 
 
 def _x_with_log(t):

@@ -11,6 +11,7 @@ pointwise density.
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 from scipy.special import erf
 
 from halfstable import DomainError, StableParams, doublesine, spectral
@@ -259,6 +260,15 @@ def test_eigen_check_refusal_names_its_y_range(p_generic):
         eigen_check(p_generic, 1.0, 0.5, 1.0)
 
 
+def test_eigen_check_refuses_past_its_reach(p_symmetric, monkeypatch):
+    # the tail may sum only the half-periods the density's y range
+    # covers; one that needs more is refused, naming that reach
+    monkeypatch.setattr(spectral, "_EIGEN_TAIL_PANELS", 4)
+    with pytest.raises(NonConvergence, match=r"eigen_check's tail did not "
+                       r"converge by y = [0-9.]+ \(6 half-periods\)"):
+        eigen_check(p_symmetric, 1.0, 0.5, 1.0)
+
+
 # ------------------------------------------------------------- G spline
 
 
@@ -355,6 +365,26 @@ def test_density_cutoff_lies_past_the_peak_near_alpha_one():
     assert_allclose(got, transition_density(p, 1.0, y, 1.0,
                                             SpectralConfig(tol=1e-10)),
                     rtol=1e-7)
+
+
+@pytest.mark.parametrize("alpha,t,growth", [
+    (1.001, 1.0, 0.5), (1.001, 0.3, 0.2), (1.01, 0.5, 0.45), (1.2, 0.5, 3.0),
+    (1.9, 0.2, 4.0)])
+def test_density_cutoff_is_past_the_exact_root(alpha, t, growth):
+    # 5% past the root of t lam^alpha - growth lam - L, L = log(10 bound
+    # / tol); forty fixed-point steps stopped short of it by 4.7e-8,
+    # 9.2e-4 and 3.5e-3 at the second to fourth inputs
+    big_l = np.log(10.0 * 2.0 / 1e-8)
+
+    def excess(lam):
+        return t * lam ** alpha - growth * lam - big_l
+
+    hi = 1.0
+    while excess(hi) < 0.0:
+        hi *= 2.0
+    root = brentq(excess, 0.0, hi, xtol=1e-300, rtol=1e-15)
+    got = spectral._cutoff(alpha, t, growth, 1e-8, 2.0)
+    assert abs(got / (1.05 * root) - 1.0) <= 1e-12
 
 
 def test_survival_where_the_kernel_grows():
