@@ -85,9 +85,10 @@ class _Kernel:
     ``osc`` is the oscillatory part; ``exact`` (``f_eigen``) adds the
     exact G to it, a call adds G from the spline of its ray profile, and
     both form F below G's series edge without the constant that cancels
-    there (``_assemble``).  ``growth`` is the
-    exponential rate cos(pi rho) of F, snapped to 0 below 1e-12 since
-    cos(pi/2) rounds to ~6e-17; ``freq`` is its frequency sin(pi rho).
+    there (``below_edge``, which survival's real axis reads too).
+    ``growth`` is the exponential rate cos(pi rho) of F, snapped to 0
+    below 1e-12 since cos(pi/2) rounds to ~6e-17; ``freq`` is its
+    frequency sin(pi rho).
     ``coef_g`` is the factor in front of G, ``bound`` bounds |F| on
     the positive axis when F is bounded, and ``g_edge`` is G's series
     edge.
@@ -163,13 +164,16 @@ class _Kernel:
         out = np.empty(v.shape)
         far = ~near
         out[far] = self.osc(v[far]) + self.coef_g * g(v[far])
-        vn = v[near]
-        half = 0.5 * vn * self.freq
-        out[near] = np.expm1(vn * self.cos_r) \
-            * np.sin(vn * self.freq + self.theta0) \
-            + 2.0 * np.cos(self.theta0 + half) * np.sin(half) \
-            + self.coef_g * g_profile(self.params).rise(vn)
+        out[near] = self.below_edge(v[near])
         return out
+
+    def below_edge(self, v):
+        """F at v <= g_edge (coef_g != 0) as [osc(v) - sin theta0] +
+        coef_g [G(v) - G(0)], without the constant that cancels there."""
+        half = 0.5 * v * self.freq
+        return np.expm1(v * self.cos_r) * np.sin(v * self.freq + self.theta0) \
+            + 2.0 * np.cos(self.theta0 + half) * np.sin(half) \
+            + self.coef_g * g_profile(self.params).rise(v)
 
     def damped(self, v, damp):
         """F(v) * e^(-damp), with the damping folded into the exponent

@@ -30,9 +30,11 @@ the nodes below the band summed from prefix moments.  Each profile also
 serves its Laplace transform from a cubic spline in log x
 (``RayProfile.interp``) over one fixed range, built once on first use
 and kept on the profile, so ``ray_profile.cache_clear()`` drops both
-together.  ``g_profile`` and ``mu_profile`` name the two profiles the
-package reads: G's, behind the eigenfunctions, and the supremum's mixing
-density mu.
+together.  The spline's knots lie on the panel lattice, so one table of
+exponentials and one matrix product give every knot's band.
+``g_profile`` and ``mu_profile`` name the two profiles the package
+reads: G's, behind the eigenfunctions, and the supremum's mixing density
+mu.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def upper_gamma(a, x):
 
 
 _SPLINE_HI = 1e12       # upper edge of the laplace spline
-_SPLINE_STEP = 0.006    # its node spacing in log x
+_SPLINE_STEP = 0.006    # the largest node spacing in log x
 _SERIES_EDGE = 1e-3     # x z_hi up to which laplace sums the Taylor series
 _SERIES_TERMS = 6
 _BAND_TOP = 700.0      # x z past which the grid dot stops
@@ -114,6 +116,28 @@ def _series(coefs, y):
     for c in reversed(coefs):
         acc = acc * y + c
     return acc
+
+
+def _prefix_table(z, zw):
+    """P_j[k] = sum_{i<k} zw_i z_i^j / j!, j < 6, k <= N."""
+    table = np.zeros((_SERIES_TERMS, z.size + 1))
+    for j in range(_SERIES_TERMS):
+        np.cumsum(zw * z ** j / _gamma_fn(j + 1.0), out=table[j, 1:])
+    return table
+
+
+def _check_series(alpha, einf, z_hi, deriv):
+    """Refuse a profile whose series overflow: the moments and the
+    closed form below the series edge form powers up to z_hi^top, top =
+    max(einf + deriv + 1, 0) + 5; below alpha = 1, z_hi = e^(21 /
+    alpha), so at small alpha that overflows."""
+    top = max(einf + deriv + 1.0, 0.0) + _SERIES_TERMS - 1
+    if top * np.log(z_hi) > _LOG_MAX:
+        raise DomainError(
+            f"alpha = {alpha:.3g} is below the smallest alpha "
+            f"this profile's grid supports, about "
+            f"{_U_EDGE_BELOW_1 * top / _LOG_MAX:.3g}: its series "
+            f"forms z_hi^{top:.3g} = e^{top * np.log(z_hi):.0f}")
 
 
 def _gamma_pair(a, n, zhi):
@@ -179,10 +203,11 @@ class RayProfile:
     ``rise`` gives its terms that vanish at x = 0.  Above the edge the
     same series, over the nodes with x z <= 1e-3 (prefix moments), joins
     the exponentials of the band 1e-3 < x z <= 700 (``_grid_dot``).
-    ``interp`` serves laplace through a cubic spline in log x on
-    [1e-3 / z_hi, 1e12], step 0.006, built once on first use and kept
-    in the profile's memo: it starts at the series edge, so below it
-    laplace costs only the closed form.
+    ``interp`` serves laplace on [1e-3 / z_hi, 1e12] through a cubic
+    spline in log x whose step divides the panel width (0.2 / 34 =
+    0.00588), built once on first use from the panel lattice
+    (``_knots``) and kept in the profile's memo: it starts at the
+    series edge, so below it laplace costs only the closed form.
     """
     alpha: float
     b: float
@@ -224,7 +249,8 @@ class RayProfile:
         """laplace(x) (deriv 0) through the profile's cubic spline.
 
         The spline covers [1e-3 / z_hi, 1e12] whatever the arguments, so
-        a value never depends on earlier calls.  Its knots are uniform in
+        a value never depends on earlier calls; its last knot is the
+        first of its lattice at or past 1e12.  Its knots are uniform in
         log x, so a point's interval is read off by index, scipy's but
         within rounding of a knot, where both cubics agree to an ulp;
         summed in scipy's order, the cubic gives CubicSpline's value.
@@ -233,11 +259,7 @@ class RayProfile:
         """
         x = np.asarray(x, dtype=float)
         if "spline" not in self._memo:
-            lo = _SERIES_EDGE / self.z_hi
-            grid = np.linspace(np.log(lo), np.log(_SPLINE_HI),
-                               int(np.log(_SPLINE_HI / lo) / _SPLINE_STEP))
-            self._memo["spline"] = CubicSpline(grid,
-                                               self.laplace(np.exp(grid)))
+            self._memo["spline"] = CubicSpline(*self._knots())
         k, c = self._memo["spline"].x, self._memo["spline"].c
         out = np.empty_like(x)
         inside = (x >= _SERIES_EDGE / self.z_hi) & (x <= _SPLINE_HI)
@@ -250,6 +272,80 @@ class RayProfile:
         if not inside.all():
             out[~inside] = self.laplace(x[~inside])
         return out
+
+    def _knots(self):
+        """The knots in log x of the spline that ``interp`` reads, and
+        laplace (deriv 0) at them, summed on the panel lattice.
+
+        The knots t_k = log(1e-3 / z_hi) + k h step by h = width / K, K
+        = ceil(width / 0.006), up to the first at or above log 1e12.
+        Node m of lattice panel p sits at u_m + p width, so log(x_k z) =
+        t_0 + u_m + (k + K p) h depends on n = k + K p and m alone: the
+        exponentials of every knot's band 1e-3 < x z <= 700 are one
+        table B[s, r, m] at n = s + K r, s < K, over the band's panels
+        r, and knot k = s + K j sums B[s, r, m] zw[r - j, m] over r and
+        m, an entry of (windows of zw) @ B^T.  Below the band the prefix
+        moments serve as in ``_grid_dot``, above it no term is summed
+        (each would be below e^-700 of its weight), and the two tails
+        are added as in ``laplace``.  Panels refined near a pole leave
+        their lattice slots at weight 0; their nodes are summed apart,
+        by exponentials over their own band and by their moments below
+        it.
+        """
+        edges, lattice = _panel_edges(self.alpha, self.b)
+        order = self.z.size // (edges.size - 1)
+        width = (lattice[-1] - lattice[0]) / (lattice.size - 1)
+        steps = int(np.ceil(width / _SPLINE_STEP))
+        h = width / steps
+        t0 = np.log(_SERIES_EDGE / self.z_hi)
+        t = t0 + h * np.arange(
+            int(np.ceil((np.log(_SPLINE_HI) - t0) / h)) + 1)
+        x = np.exp(t)
+        # the profile's panels in their lattice slots, the rest apart
+        slot = np.minimum(np.searchsorted(lattice, edges[:-1]),
+                          lattice.size - 2)
+        on = (lattice[slot] == edges[:-1]) & (lattice[slot + 1] == edges[1:])
+        z = self.z.reshape(-1, order)
+        zw = self._zw(0).reshape(-1, order)
+        lat_z = np.zeros((lattice.size - 1, order))
+        lat_zw = np.zeros_like(lat_z)
+        lat_z[slot[on]], lat_zw[slot[on]] = z[on], zw[on]
+        # n up to lo_n[m] lies below node m's band, up to hi_n[m] in it
+        a = t0 + panel_nodes(lattice[:2], order)[0]
+        lo_n = np.floor((np.log(_SERIES_EDGE) - a) / h).astype(np.intp)
+        hi_n = np.floor((np.log(_BAND_TOP) - a) / h).astype(np.intp)
+        # knot k reads node (p, m) from the prefix while k + K p <= lo_n[m]
+        cut = (lo_n - steps * np.arange(lattice.size - 1)[:, None]).ravel()
+        below = np.searchsorted(-cut, -np.arange(t.size), side="right")
+        out = _series(_prefix_table(lat_z.ravel(), lat_zw.ravel())[:, below],
+                      -x)
+        r_lo, r_hi = (lo_n.min() + 1) // steps, hi_n.max() // steps
+        n = np.arange(r_lo * steps, (r_hi + 1) * steps) \
+            .reshape(-1, steps).T[:, :, None]
+        table = np.minimum(a + n * h, np.log(_BAND_TOP))
+        np.exp(-np.exp(table, out=table), out=table)
+        table[(n <= lo_n) | (n > hi_n)] = 0.0
+        span = table.shape[1] * order
+        rows = -(-t.size // steps)
+        pad_lo = max(rows - 1 - r_lo, 0)
+        pad_hi = max(r_hi + 2 - lattice.size, 0)
+        padded = np.concatenate((np.zeros(pad_lo * order), lat_zw.ravel(),
+                                 np.zeros(pad_hi * order)))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            padded, span)[::order]
+        flat = table.reshape(steps, span)
+        out += blocked(lambda first: windows[first] @ flat.T,
+                       r_lo + pad_lo - np.arange(rows), span).ravel()[:t.size]
+        if not on.all():
+            ref_z, ref_zw = z[~on].ravel(), zw[~on].ravel()
+            low = x * ref_z[-1] <= _SERIES_EDGE
+            live = ~low & (x * ref_z[0] <= _BAND_TOP)
+            out[low] += _series(_prefix_table(ref_z, ref_zw)[:, -1], -x[low])
+            out[live] += blocked(lambda xb: np.exp(np.maximum(
+                np.multiply.outer(-xb, ref_z), -_BAND_TOP)) @ ref_zw,
+                x[live], ref_z.size)
+        out += self._low_tail(x, 0) + self._high_tail(x, 0)
+        return t, out
 
     def rise(self, x):
         """laplace(x) - laplace(0), deriv 0, for x z_hi <= 1e-3 where
@@ -304,38 +400,25 @@ class RayProfile:
     def _moments(self, deriv):
         """Taylor coefficients M_k / k! of the grid dot in powers of -x.
 
-        These and ``_small_branch`` form powers up to z_hi^top, top =
-        max(einf + deriv + 1, 0) + 5; below alpha = 1, z_hi = e^(21 /
-        alpha), so at small alpha that overflows and the profile refuses.
+        These and ``_small_branch`` form powers up to z_hi^top, which
+        ``_check_series`` bounds; ``ray_profile`` has checked deriv 0.
         """
         key = ("moments", deriv)
         if key not in self._memo:
-            top = max(self.einf + deriv + 1.0, 0.0) + _SERIES_TERMS - 1
-            if top * np.log(self.z_hi) > _LOG_MAX:
-                raise DomainError(
-                    f"alpha = {self.alpha:.3g} is below the smallest alpha "
-                    f"this profile's grid supports, about "
-                    f"{_U_EDGE_BELOW_1 * top / _LOG_MAX:.3g}: its series "
-                    f"forms z_hi^{top:.3g} = e^{top * np.log(self.z_hi):.0f}")
+            _check_series(self.alpha, self.einf, self.z_hi, deriv)
             zw = self._zw(deriv)
             self._memo[key] = [zw @ self.z ** k / _gamma_fn(k + 1.0)
                                for k in range(_SERIES_TERMS)]
         return self._memo[key]
 
     def _prefix(self, deriv):
-        """P_j[k] = sum_{i<k} zw_i z_i^j / j!, j < 6, k <= N: the
-        cumulative moments that ``_grid_dot`` reads below its band.
-        Their terms are those of ``_moments``, which refuses first where
-        they overflow."""
+        """``_prefix_table`` of the grid: the cumulative moments that
+        ``_grid_dot`` reads below its band.  Their terms are those of
+        ``_moments``, which refuses first where they overflow."""
         key = ("prefix", deriv)
         if key not in self._memo:
             self._moments(deriv)
-            zw = self._zw(deriv)
-            table = np.zeros((_SERIES_TERMS, self.z.size + 1))
-            for j in range(_SERIES_TERMS):
-                np.cumsum(zw * self.z ** j / _gamma_fn(j + 1.0),
-                          out=table[j, 1:])
-            self._memo[key] = table
+            self._memo[key] = _prefix_table(self.z, self._zw(deriv))
         return self._memo[key]
 
     def _small_branch(self, deriv):
@@ -400,20 +483,21 @@ class RayProfile:
         return -out if deriv == 1 else out
 
     def _high_tail(self, x, deriv):
-        # int_zhi^inf e^{-zx} z^einf dz = x^{-einf-1} Gamma(einf+1, zhi x)
+        # int_zhi^inf e^{-zx} z^einf dz = x^{-einf-1} Gamma(einf+1, zhi x),
+        # 0 past zhi x = 700, where the grid dot drops its nodes too
         zhi = self.z_hi
         a = self.einf + 1.0 + deriv
-        out = np.empty(np.shape(x), dtype=float)
-        pos = np.asarray(x) > 0
-        if np.any(pos):
-            xp = np.asarray(x)[pos]
-            with np.errstate(over="ignore"):  # Gamma(a, inf) = 0
-                out[pos] = xp ** (-a) * upper_gamma(a, zhi * xp)
-        if np.any(~pos):
+        x = np.asarray(x)
+        out = np.zeros(x.shape, dtype=float)
+        with np.errstate(over="ignore"):
+            live = (x > 0) & (x * zhi <= _BAND_TOP)
+        if np.any(live):
+            out[live] = x[live] ** (-a) * upper_gamma(a, zhi * x[live])
+        if np.any(x == 0):
             if a >= 0:
                 raise DomainError(
                     "tail of the profile integral diverges at x = 0")
-            out[~pos] = zhi ** a / (-a)
+            out[x == 0] = zhi ** a / (-a)
         if deriv == 1:
             out = -out
         return out
@@ -446,37 +530,54 @@ def _abs_squared_on_panels(b, alpha, edges, u):
     return np.concatenate((half[::-1], half))
 
 
-@lru_cache(maxsize=64)
-def ray_profile(alpha, b, q) -> RayProfile:
-    """Tabulate W(z) = z^q |s2(b + i alpha log z / 2 pi)|^2 on the grid.
+def _panel_edges(alpha, b):
+    """The master grid's panel edges in u = log z, and the lattice of
+    uniform panels on [-U, U] they come from: the same edges, or, near a
+    pole, the lattice with its panels around u = 0 halved.
 
     A line Re w = b through a pole of s2 (for ``mu_profile`` at alpha
     rho = 1) refuses with PoleProximity, naming the pole.
     """
-    alpha = float(alpha)
-    b = float(b)
-    q = float(q)
     u_edge = _U_EDGE if alpha >= 1.0 else _U_EDGE_BELOW_1 / alpha
-    n_panels = int(np.ceil(2.0 * u_edge / _PANEL))
-    edges = np.linspace(-u_edge, u_edge, n_panels + 1)
+    lattice = np.linspace(-u_edge, u_edge,
+                          int(np.ceil(2.0 * u_edge / _PANEL)) + 1)
     dist, m, n = min(_poles_by_column(b, alpha))
     if dist <= POLE_RADIUS:
         raise PoleProximity(
             f"the line Re w = {b:g} passes within {POLE_RADIUS:g} of the "
             f"pole {m} + {alpha:g}*{n} of s2")
     gap = 2.0 * np.pi * dist / alpha
-    if gap < _PANEL:
-        fine = _PANEL * 0.5 ** np.arange(1, int(np.log2(0.8 / gap)) + 1)
-        edges = np.sort(np.concatenate(
-            (edges[np.abs(edges) > 0.99 * _PANEL], -fine, [0.0], fine)))
+    if gap >= _PANEL:
+        return lattice, lattice
+    fine = _PANEL * 0.5 ** np.arange(1, int(np.log2(0.8 / gap)) + 1)
+    return np.sort(np.concatenate(
+        (lattice[np.abs(lattice) > 0.99 * _PANEL], -fine, [0.0], fine))), \
+        lattice
+
+
+@lru_cache(maxsize=64)
+def ray_profile(alpha, b, q) -> RayProfile:
+    """Tabulate W(z) = z^q |s2(b + i alpha log z / 2 pi)|^2 on the grid.
+
+    A line Re w = b through a pole of s2 (for ``mu_profile`` at alpha
+    rho = 1) refuses with PoleProximity, naming the pole, and an alpha
+    too small for the grid's series (``_check_series``) with
+    DomainError, both before the double sine is tabulated.
+    """
+    alpha = float(alpha)
+    b = float(b)
+    q = float(q)
+    edges, lattice = _panel_edges(alpha, b)
+    e0 = q + b - 0.5 * (1.0 + alpha)
+    einf = q + 0.5 * (1.0 + alpha) - b
+    z_hi = float(np.exp(lattice[-1]))
+    _check_series(alpha, einf, z_hi, 0)
     u, du = panel_nodes(edges)
     z = np.exp(u)
     w = du * z  # dz = z du
     vals = z ** q * _abs_squared_on_panels(b, alpha, edges, u)
-    e0 = q + b - 0.5 * (1.0 + alpha)
-    einf = q + 0.5 * (1.0 + alpha) - b
     return RayProfile(alpha, b, q, z, w, vals, e0, einf,
-                      float(np.exp(-u_edge)), float(np.exp(u_edge)))
+                      float(np.exp(lattice[0])), z_hi)
 
 
 def g_profile(params: StableParams) -> RayProfile:

@@ -412,11 +412,17 @@ def survival(params: StableParams, x: float, t: float,
         return np.exp(-np.exp(np.minimum(log_tau + alpha * sig, 700.0)))
 
     def real_axis(sig):
-        """The kernel, G's part alone past sigma = 0, times e^-damping."""
+        """The kernel, G's part alone past sigma = 0, times e^-damping;
+        below G's series edge F's form without its cancelling constant."""
         v = np.exp(sig)
-        kern = fe.coef_g * fe.g_spline(v)
-        head = sig <= 0.0
+        kern = np.empty(v.shape)
+        near = v <= fe.g_edge
+        far = ~near
+        kern[far] = fe.coef_g * fe.g_spline(v[far])
+        head = far & (sig <= 0.0)
         kern[head] += fe.osc(v[head])
+        if near.any():
+            kern[near] = fe.below_edge(v[near])
         return kern * damping(sig)
 
     def integrand(v):

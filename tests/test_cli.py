@@ -261,6 +261,23 @@ def test_edge_inputs_keep_the_exit_code_contract():
     assert "Warning" not in res.stderr, res.stderr
 
 
+def test_small_alpha_refuses_before_tabulating(monkeypatch, capsys):
+    # the profile's series would form z_hi^5 = e^1050: the refusal comes
+    # before the 33 600-node double-sine grid is tabulated
+    from halfstable import cli, profiles
+
+    tabulated = []
+    monkeypatch.setattr(profiles, "_abs_squared_on_panels",
+                        lambda *args: tabulated.append(args))
+    profiles.ray_profile.cache_clear()
+    assert cli.main(["eigenfn", "--alpha", "0.1", "--rho", "0.9",
+                     "--x", "1"]) == 3
+    assert tabulated == []
+    assert ("alpha = 0.1 is below the smallest alpha this profile's grid "
+            "supports, about 0.148: its series forms z_hi^5 = e^1050") \
+        in capsys.readouterr().err
+
+
 def test_resolvent_refuses_overflowing_q():
     res = run_cli("resolvent", *_A, "--q", "1e300", "--x", "1", "--y", "2")
     assert res.returncode == 3, res.stdout + res.stderr

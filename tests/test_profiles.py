@@ -13,9 +13,9 @@ from halfstable import StableParams, survival
 from halfstable.eigenfunctions import doney_g, g_func
 from halfstable.doublesine import s2_abs_squared_on_ray
 from halfstable.errors import PoleProximity
-from halfstable.profiles import (_SERIES_EDGE, _SPLINE_HI, _SPLINE_STEP,
-                                 _series, g_profile, mu_profile,
-                                 ray_profile)
+from halfstable.profiles import (_PANEL, _SERIES_EDGE, _SPLINE_HI,
+                                 _SPLINE_STEP, RayProfile, _series,
+                                 g_profile, mu_profile, ray_profile)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.2, 1.5, 2.0])
@@ -70,19 +70,62 @@ def test_survival_below_alpha_1_against_wide_grid(alpha, rho):
 
 
 def test_spline_edge_stops_at_its_ceiling():
-    # the spline spans [series edge, 1e12] whatever the first arguments;
-    # past 1e12 the exact laplace serves, and no later argument rebuilds
-    # it.  A copy with its own memo keeps the cached profile's spline.
+    # the spline's knots run from the series edge to the first lattice
+    # knot at or above 1e12, whatever the first arguments; past 1e12 the
+    # exact laplace serves, and no later argument rebuilds it.  A copy
+    # with its own memo keeps the cached profile's spline.
     prof = replace(g_profile(StableParams(1.5, 0.55)), _memo={})
     x = np.array([1.0, 1e13, 1e100, 1e300])
     got = prof.interp(x)
     spline = prof._memo["spline"]
-    assert_allclose(np.exp(spline.x[[0, -1]]),
-                    [_SERIES_EDGE / prof.z_hi, _SPLINE_HI], rtol=1e-12)
+    step = np.diff(spline.x).mean()
+    assert_allclose(np.exp(spline.x[0]), _SERIES_EDGE / prof.z_hi,
+                    rtol=1e-12)
+    assert _SPLINE_HI <= np.exp(spline.x[-1]) < _SPLINE_HI * np.exp(step)
     prof.interp(np.array([1e200, 1e301]))
     assert prof._memo["spline"] is spline
     assert_allclose(got[1:], prof.laplace(x[1:]), rtol=1e-15)
     assert np.all(np.isfinite(got)) and np.all(got >= 0)
+
+
+_KNOT_SETS = [(1.5, 0.55), (1.2, 0.5), (1.9, 0.52), (0.8, 0.6), (0.5, 0.5),
+              (0.3, 0.5), (0.2, 0.3),
+              (0.45, 0.5),    # an odd panel count, width 0.19986
+              (1.0, 0.9586)]  # panels refined near a pole
+
+
+@pytest.mark.parametrize("alpha,rho", _KNOT_SETS)
+def test_lattice_knot_values_match_laplace(alpha, rho):
+    # the spline's data, summed on the panel lattice, against the exact
+    # laplace at the same knots; K steps of h <= 0.006 make one panel
+    prof = replace(g_profile(StableParams(alpha, rho)), _memo={})
+    prof.interp(np.array([1.0]))
+    spline = prof._memo["spline"]
+    want = prof.laplace(np.exp(spline.x))
+    assert_allclose(spline(spline.x), want, rtol=1e-13, atol=0.0)
+    k = spline.x
+    step = (k[-1] - k[0]) / (k.size - 1)
+    u_edge = -np.log(prof.z_lo)
+    width = 2.0 * u_edge / np.ceil(2.0 * u_edge / _PANEL)
+    assert step <= _SPLINE_STEP
+    assert_allclose(np.ceil(width / _SPLINE_STEP) * step, width, rtol=1e-12)
+
+
+def test_spline_build_makes_no_grid_dot(monkeypatch):
+    # the knots read the lattice table, not the per-argument band dot
+    calls = []
+    exact = RayProfile._grid_dot
+
+    def spy(self, x, deriv):
+        calls.append(x.size)
+        return exact(self, x, deriv)
+
+    monkeypatch.setattr(RayProfile, "_grid_dot", spy)
+    prof = replace(g_profile(StableParams(1.0, 0.9586)), _memo={})
+    prof.interp(np.array([1.0, 2.0]))
+    assert "spline" in prof._memo and calls == []
+    prof.laplace(np.array([1.0]))  # the spy sees the exact route
+    assert calls == [1]
 
 
 # alpha rho_hat = 1 - 1e-12: a = -1 + 1e-12 for G, and a = 1e-12 for G'
@@ -156,6 +199,9 @@ def test_spline_read_by_index_matches_scipy(alpha, rho):
     t = np.concatenate((k, np.nextafter(k[1:], -np.inf),
                         np.nextafter(k[:-1], np.inf), 0.5 * (k[1:] + k[:-1]),
                         rng.uniform(k[0], k[-1], 100_000)))
+    # the spline serves up to 1e12, a fraction of a step short of its
+    # last knot; past it the exact laplace does (below)
+    t = t[t <= np.log(_SPLINE_HI)]
     x = _x_with_log(t)
     assert np.mean(np.log(x) == t) > 0.9
     # within rounding of a knot the index may name the interval before
@@ -190,8 +236,9 @@ def test_profile_lattice_matches_per_point_values(alpha, rho, profile):
 
 @pytest.mark.parametrize("alpha,rho", [(1.5, 0.55), (0.3, 0.5), (0.2, 0.3)])
 def test_band_dot_matches_full_exponential_sum(alpha, rho):
-    # at the spline knots: prefix moments below x z = 1e-3 and no terms
-    # past x z = 700, against every node's exponential (every 4th knot)
+    # on a log grid over the spline's range, step 0.006: prefix moments
+    # below x z = 1e-3 and no terms past x z = 700, against every node's
+    # exponential (every 4th point)
     prof = g_profile(StableParams(alpha, rho))
     lo = _SERIES_EDGE / prof.z_hi
     x = np.exp(np.linspace(np.log(lo), np.log(_SPLINE_HI),

@@ -272,46 +272,21 @@ def test_eigen_check_refuses_past_its_reach(p_symmetric, monkeypatch):
 # ------------------------------------------------------------- G spline
 
 
-def _record_laplace_args(monkeypatch):
-    """Every argument RayProfile.laplace receives, from now on."""
+def _record_args(monkeypatch, name):
+    """Every argument RayProfile.<name> receives, from now on."""
     seen = []
-    exact = RayProfile.laplace
+    exact = getattr(RayProfile, name)
 
     def spy(self, x, *args, **kw):
         seen.append(np.ravel(np.asarray(x, dtype=float)).copy())
         return exact(self, x, *args, **kw)
 
-    monkeypatch.setattr(RayProfile, "laplace", spy)
+    monkeypatch.setattr(RayProfile, name, spy)
     return seen
 
 
-def test_g_spline_is_built_once_per_profile(p_generic, monkeypatch):
-    ray_profile.cache_clear()
-    seen = _record_laplace_args(monkeypatch)
-    first = survival(p_generic, 1.0, 1.0)
-    # the spline starts at the profile's series edge
-    edge = _SERIES_EDGE / g_profile(p_generic).z_hi
-    args = np.concatenate(seen)
-    assert np.sum(args >= edge) >= 1000  # the spline build
-    seen.clear()
-    assert survival(p_generic, 1.0, 1.0) == first
-    args = np.concatenate(seen)
-    # only the series branch below the spline's range is exact
-    assert args.size > 0 and np.all(args < edge)
-
-
-def test_cache_clear_drops_the_g_spline(p_generic, monkeypatch):
-    before = survival(p_generic, 0.7, 2.0)
-    ray_profile.cache_clear()
-    seen = _record_laplace_args(monkeypatch)
-    after = survival(p_generic, 0.7, 2.0)
-    assert np.sum(np.concatenate(seen) >= 1e-12) >= 1000  # rebuilt
-    assert after == before
-
-
-def test_each_g_spline_is_built_once_whatever_the_arguments(p_generic,
-                                                          monkeypatch):
-    ray_profile.cache_clear()
+def _count_splines(monkeypatch):
+    """The CubicSpline constructions of profiles, from now on."""
     built = []
     exact = profiles.CubicSpline
 
@@ -320,6 +295,38 @@ def test_each_g_spline_is_built_once_whatever_the_arguments(p_generic,
         return exact(*args, **kw)
 
     monkeypatch.setattr(profiles, "CubicSpline", counting)
+    return built
+
+
+def test_g_spline_is_built_once_per_profile(p_generic, monkeypatch):
+    ray_profile.cache_clear()
+    built = _count_splines(monkeypatch)
+    first = survival(p_generic, 1.0, 1.0)
+    assert len(built) == 1  # the spline build
+    seen = _record_args(monkeypatch, "laplace")
+    rose = _record_args(monkeypatch, "rise")
+    assert survival(p_generic, 1.0, 1.0) == first
+    assert len(built) == 1
+    # the spline starts at the profile's series edge: below it G is
+    # exact, through its closed form's rise (or laplace), and nowhere else
+    edge = _SERIES_EDGE / g_profile(p_generic).z_hi
+    args = np.concatenate(seen + rose)
+    assert args.size > 0 and np.all(args < edge)
+
+
+def test_cache_clear_drops_the_g_spline(p_generic, monkeypatch):
+    before = survival(p_generic, 0.7, 2.0)
+    ray_profile.cache_clear()
+    built = _count_splines(monkeypatch)
+    after = survival(p_generic, 0.7, 2.0)
+    assert len(built) == 1  # rebuilt
+    assert after == before
+
+
+def test_each_g_spline_is_built_once_whatever_the_arguments(p_generic,
+                                                          monkeypatch):
+    ray_profile.cache_clear()
+    built = _count_splines(monkeypatch)
     # later calls bring G arguments past those of the first call
     slow = StableParams(0.3, 0.5)
     survival(slow, 1.0, 1.0)
@@ -351,6 +358,16 @@ SURVIVAL_SMALL_RHO_HAT = {
 def test_survival_small_alpha_rho_hat_against_contour(alpha, rho):
     got = survival(StableParams(alpha, rho), 1.0, 1.0)
     assert abs(got - SURVIVAL_SMALL_RHO_HAT[alpha, rho]) <= 1e-8
+
+
+def test_survival_head_below_the_series_edge_against_contour():
+    # the real-axis head below G's series edge is F's near-zero form;
+    # osc + coef_g G there integrated F's constant residual (6.1e-11)
+    # over about 590 units of log lam and read 2.9e-9 high.  Frozen
+    # 2026-10 by the route above; halving h and widening the range 1.5x
+    # moved it by 2.1e-12
+    got = survival(StableParams(1.0, 0.9586), 2.0, 1.0)
+    assert abs(got - 0.9830814253625) <= 5e-10
 
 
 def test_density_cutoff_lies_past_the_peak_near_alpha_one():
