@@ -31,7 +31,9 @@ serves its Laplace transform from a cubic spline in log x
 (``RayProfile.interp``) over one fixed range, built once on first use
 and kept on the profile, so ``ray_profile.cache_clear()`` drops both
 together.  The spline's knots lie on the panel lattice, so one table of
-exponentials and one matrix product give every knot's band.
+exponentials and one matrix product give every knot's band.  The knot
+values are kept beside the spline (``RayProfile._at_knots``), from the
+same one build, for sums whose nodes sit on the knots.
 ``g_profile`` and ``mu_profile`` name the two profiles the package
 reads: G's, behind the eigenfunctions, and the supremum's mixing density
 mu.
@@ -208,6 +210,8 @@ class RayProfile:
     0.00588), built once on first use from the panel lattice
     (``_knots``) and kept in the profile's memo: it starts at the
     series edge, so below it laplace costs only the closed form.
+    ``_at_knots`` serves the same knot values, and the closed form at
+    knots below the first, without a cubic.
     """
     alpha: float
     b: float
@@ -259,7 +263,7 @@ class RayProfile:
         """
         x = np.asarray(x, dtype=float)
         if "spline" not in self._memo:
-            self._memo["spline"] = CubicSpline(*self._knots())
+            self._memo["spline"] = CubicSpline(*self._knot_table()[:2])
         k, c = self._memo["spline"].x, self._memo["spline"].c
         out = np.empty_like(x)
         inside = (x >= _SERIES_EDGE / self.z_hi) & (x <= _SPLINE_HI)
@@ -273,9 +277,41 @@ class RayProfile:
             out[~inside] = self.laplace(x[~inside])
         return out
 
+    def _knot_table(self):
+        """(t, values, h): the knots t_k = t_0 + k h in log x of the
+        spline that ``interp`` reads and laplace (deriv 0) at them, from
+        the profile's one ``_knots`` call, kept in its memo."""
+        if "knots" not in self._memo:
+            self._memo["knots"] = self._knots()
+        return self._memo["knots"]
+
+    def _at_knots(self, k):
+        """laplace (deriv 0) at x = e^(t_0 + k h) for integers k of any
+        sign: the knot value for 0 <= k < t.size, laplace past the last
+        knot, and below the first its closed form, kept in the memo for
+        k = -1, -2, ... as deep as any call has reached (at least twice
+        the depth before, so the extensions stay few)."""
+        t, values, h = self._knot_table()
+        out = np.empty(k.shape)
+        on = (k >= 0) & (k < t.size)
+        out[on] = values[k[on]]
+        low = k < 0
+        if low.any():
+            below = self._memo.get("below", np.empty(0))
+            if -k.min() > below.size:
+                below = self.laplace(np.exp(t[0] - h * np.arange(
+                    1, max(-k.min(), 2 * below.size) + 1)))
+                self._memo["below"] = below
+            out[low] = below[-1 - k[low]]
+        high = k >= t.size
+        if high.any():
+            out[high] = self.laplace(np.exp(t[0] + h * k[high]))
+        return out
+
     def _knots(self):
-        """The knots in log x of the spline that ``interp`` reads, and
-        laplace (deriv 0) at them, summed on the panel lattice.
+        """The knots in log x of the spline that ``interp`` reads,
+        laplace (deriv 0) at them, summed on the panel lattice, and the
+        knot step.
 
         The knots t_k = log(1e-3 / z_hi) + k h step by h = width / K, K
         = ceil(width / 0.006), up to the first at or above log 1e12.
@@ -345,7 +381,7 @@ class RayProfile:
                 np.multiply.outer(-xb, ref_z), -_BAND_TOP)) @ ref_zw,
                 x[live], ref_z.size)
         out += self._low_tail(x, 0) + self._high_tail(x, 0)
-        return t, out
+        return t, out, h
 
     def rise(self, x):
         """laplace(x) - laplace(0), deriv 0, for x z_hi <= 1e-3 where

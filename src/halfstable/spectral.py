@@ -22,15 +22,18 @@ oscillatory part e^(lam x w) on the same grid taken as a panel lattice
 (``_Lattice``): its uniform panels share their node offsets, so each
 lam costs one exponential per panel plus 16, and only the first
 panel's cascade keeps exponentials of its own.  G's part of the
-transforms, and every part of the heat kernel, stay on the cascade
-grids.  Second, the completely
+transforms takes G's knot lattice for an input analytic on a sector (a
+trapezoid sum in log r whose nodes are G's knots shifted by -log lam)
+and the cascade grids for a table, as does every part of the heat
+kernel.  Second, the completely
 monotone part G of F is served by a cubic spline on a dense log grid,
 because the exact profile evaluation costs a ~3000-node dot per point
-and the matrix kernels below need 1e6-1e8 points.  The spline belongs
-to G's ray profile (``RayProfile.interp``), read by index and built
-once per parameter set over a fixed range, as is the kernel F with its
-double sine constants (``eigenfunctions.kernel``), kept beside it:
-``ray_profile.cache_clear()`` drops both.
+and the matrix kernels below need 1e6-1e8 points.  The spline and its
+knot values belong to G's ray profile (``RayProfile.interp``,
+``RayProfile._at_knots``), read by index and built once per parameter
+set over a fixed range, as is the kernel F with its double sine
+constants (``eigenfunctions.kernel``), kept beside them:
+``ray_profile.cache_clear()`` drops all three.
 Third, integrals that converge only conditionally (the inversion
 Pi Pi_hat u and the eigenfunction check, whose tails decay like 1/lam
 times an oscillation) are split at a finite point and finished with the
@@ -48,6 +51,7 @@ DomainError instead of extrapolating.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -61,6 +65,7 @@ from .model import StableParams
 from .numerics import (blocked, integrate_interval,
                        integrate_oscillatory_decaying, panel_nodes,
                        vectorized)
+from .profiles import g_profile
 
 _TWO_OVER_PI = 2.0 / np.pi
 
@@ -339,8 +344,11 @@ _LOG_MAX = np.log(np.finfo(float).max)
 # q up to ~2e4 at (x, t) = (2, 1) (2e4 evaluations, 4 ms warm), and the
 # positive edge rho = 1 - 1/alpha has a wider one from alpha = 1.0013 on.
 _MIN_WINDOW = 2e-3
-# The grid in u = log(1 + q) on which the survival ray is cut.
+# The grid in u = log(1 + q) on which the survival ray is cut, and the
+# most its integrand's phase turns across one starting panel (rad): four
+# periods, about six nodes a period for the 24-point rule.
 _RAY_GRID = 0.5 * np.arange(1.0, 41.0)
+_RAY_TURN = 8.0 * np.pi
 
 
 def survival(params: StableParams, x: float, t: float,
@@ -353,11 +361,12 @@ def survival(params: StableParams, x: float, t: float,
     whole kernel on the real axis in sigma = log v up to v = 1, where F
     grows by at most e; G's part on to the lam cutoff; and the
     oscillation on the ray v = 1 + q e^(i phi), in u = log(1 + q), cut
-    where its integrand falls below tol e^-5.  phi is the midpoint of
-    the sector (pi (1/2 - rho), min(pi / (2 alpha), pi (3/2 - rho))),
-    where e^(v w) and e^(-tau v^alpha) both decay, so the ray avoids the
-    real axis's cancellation where F grows (rho < 1/2), and gives the
-    integral its value there below alpha 1.  NonConvergence names a
+    where its integrand falls below tol e^-5, from starting panels
+    across which its phase turns at most _RAY_TURN radians.  phi is the
+    midpoint of the sector (pi (1/2 - rho), min(pi / (2 alpha), pi (3/2
+    - rho))), where e^(v w) and e^(-tau v^alpha) both decay, so the ray
+    avoids the real axis's cancellation where F grows (rho < 1/2), and
+    gives the integral its value there below alpha 1.  NonConvergence names a
     sector narrower than _MIN_WINDOW.
 
     Below sigma_lo, where the integrand is under tol e^-7 (or v =
@@ -405,8 +414,20 @@ def survival(params: StableParams, x: float, t: float,
         return w * z - np.exp(log_tau_ray + alpha * log_z) + u - log_z
 
     # Re(w z) = cos(pi rho) - q sin(window / 2): the grid ends past the cut
-    above = np.flatnonzero(on_ray(_RAY_GRID).real > np.log(cfg.tol) - 5.0)
-    u_hi = _RAY_GRID[above[-1] + 1 if above.size else 0]
+    log_ray = on_ray(_RAY_GRID)
+    above = np.flatnonzero(log_ray.real > np.log(cfg.tol) - 5.0)
+    top = above[-1] + 1 if above.size else 0
+    u_hi = _RAY_GRID[top]
+    # the phase Im on_ray turns about 1 + q times faster in u far out on
+    # the ray than at its start: a grid step it turns by more than
+    # _RAY_TURN radians is cut into as many equal panels as that takes.
+    # On a narrow sector's far end (at (1.0068, 0.0067) one step turned
+    # by 337 radians) a panel hid its turns from both of its rules.
+    ray_edges = _RAY_GRID[:top].tolist()
+    phase = log_ray.imag[:top + 1].tolist()
+    for hi, a, b in zip(ray_edges + [u_hi], [w.imag] + phase, phase):
+        n = math.ceil(abs(b - a) / _RAY_TURN)
+        ray_edges += [hi - 0.5 * j / n for j in range(1, n)]
 
     def damping(sig):  # e^-damping is 0 long before its exponent is 700
         return np.exp(-np.exp(np.minimum(log_tau + alpha * sig, 700.0)))
@@ -443,7 +464,7 @@ def survival(params: StableParams, x: float, t: float,
     # without which about half the calls took a second adaptive round
     res = integrate_interval(
         integrand, sig_lo, sig_g + u_hi, tol=cfg.tol / 3.0, frequency=fe.freq,
-        extra_edges=[0.0, sig_g, *(sig_g + _RAY_GRID[_RAY_GRID < u_hi])])
+        extra_edges=[0.0, sig_g, *(sig_g + e for e in ray_edges)])
     if not res.converged:
         raise NonConvergence(
             f"survival quadrature error estimate "
@@ -561,6 +582,14 @@ def transition_density(params: StableParams, x: float, y, t: float,
 # The largest lam, as a multiple of the lam_hi it is built for, at which
 # a _TransformKernel holds full precision.
 _KERNEL_REACH = 3.0
+# G's part of a transform on G's knot lattice: the trapezoid step in log
+# r is a multiple of the knot step, at most one panel width, that keeps
+# the rule's error e^(-2 pi d / step) below e^-37 on the strip |Im log r|
+# < d; the sum runs 40 units of log r below the support end, the
+# cascade grids' depth.
+_G_NATS = 37.0
+_G_STEP_MAX = 0.2
+_G_DEPTH = 40.0
 
 
 class _TransformKernel:
@@ -583,9 +612,20 @@ class _TransformKernel:
     period wide at lam_hi, which sets the reach: against a grid built
     for 12 lam_hi, on the real axis at (1.2, 0.5), the kernel is within
     3e-14 of the largest value in every window of lam_hi up to 3 lam_hi,
-    5e-13 at 4 lam_hi and 4e-7 at 6 lam_hi.  The completely monotone
-    part, which carries the x^(alpha rho_hat) kink, stays on the real
-    axis on a cascade grid pair through the G spline.
+    5e-13 at 4 lam_hi and 4e-7 at 6 lam_hi.
+
+    The completely monotone part coef_g int G(lam r) u(r) dr stays on
+    the real axis.  For an input analytic on the sector |arg z| < theta
+    its integrand is analytic in s = log r on the strip |Im s| < min(theta,
+    pi/2), so the trapezoid rule in s errs by about e^(-2 pi d / H) at
+    step H (Trefethen and Weideman, SIAM Review 56, 2014).  H is j knot
+    steps h of G's spline, j = min(34, 2 pi d / (37 h)) (j // 2 for the
+    fine sum), and for each lam the nodes are r = e^(t_k) / lam on the
+    knots t_k, k a multiple of j (``_on_knots``): every G(lam r) is a
+    value G's profile holds.  A table (theta = 0), or a sector too narrow
+    for j >= 2, keeps the cascade grid pair through the spline: a table
+    is C1 and drops to 0 at its ends, where a trapezoid sum that moves
+    with lam is first order.
     """
 
     def __init__(self, fe: _Kernel, u: TestFunction, lam_hi: float,
@@ -617,7 +657,18 @@ class _TransformKernel:
                      24 * scale, lambda r, w: w * u(r * phase),
                      self._omega, _KERNEL_REACH * lam_hi)
             for scale in (1, 2)]
-        if fe.coef_g != 0.0:
+        self._m_grids = self._steps = None
+        if fe.coef_g == 0.0:
+            return
+        self._u, self._log_b = u, np.log(support)
+        self._profile = g_profile(fe.params)
+        h = self._profile._knot_table()[2]
+        d = min(u.sector_half_angle, 0.5 * np.pi)
+        step = min(int(_G_STEP_MAX / h + 1e-9),
+                   int(2.0 * np.pi * d / (_G_NATS * h)))
+        if step >= 2:
+            self._steps = (step, step // 2)
+        else:  # a table, or a sector too narrow for the knot lattice
             self._m_grids = _grid_pair(support, 0.0,
                                        lambda nodes, wts: wts * u(nodes))
 
@@ -636,12 +687,36 @@ class _TransformKernel:
 
     def _dot(self, lams, which):
         out = np.imag(self._pre * self._lattices[which](lams))
-        if self.fe.coef_g != 0.0:
+        if self._steps is not None:
+            out += self.fe.coef_g * self._on_knots(lams, self._steps[which])
+        elif self._m_grids is not None:
             nodes, row = self._m_grids[which]
             out += self.fe.coef_g * blocked(
                 lambda lb: self.fe.g_spline(np.outer(lb, nodes)) @ row,
                 lams, nodes.size)
         return np.sqrt(_TWO_OVER_PI) * out
+
+    def _on_knots(self, lams, step):
+        """int_0^b G(lam r) u(r) dr as the trapezoid sum H sum_k r_k
+        u(r_k) G(e^(t_k)) in log r, with nodes r_k = e^(t_k) / lam on
+        the knots t_k = t_0 + k h of G's spline, k a multiple of step,
+        H = step h: every G is a value the profile holds, or its closed
+        form below the series edge.  Per lam the nodes run down from
+        the last at or below log b over _G_DEPTH."""
+        t, _, h = self._profile._knot_table()
+        big_h = step * h
+        depth = np.arange(int(_G_DEPTH / big_h) + 1)
+        log_lam = np.log(lams)
+        top = np.floor((self._log_b + log_lam - t[0]) / big_h).astype(np.intp)
+        m_lo = top.min() - depth[-1]
+        g = self._profile._at_knots(step * np.arange(m_lo, top.max() + 1))
+
+        def block(i):
+            m = top[i, None] - depth
+            r = np.exp(t[0] + h * (step * m) - log_lam[i, None])
+            return np.sum(r * self._u(r) * g[m - m_lo], axis=1)
+
+        return big_h * blocked(block, np.arange(lams.size), depth.size)
 
     def __call__(self, lams):
         return self._dot(lams, 0)

@@ -111,6 +111,22 @@ def test_lattice_knot_values_match_laplace(alpha, rho):
     assert_allclose(np.ceil(width / _SPLINE_STEP) * step, width, rtol=1e-12)
 
 
+def test_knot_values_extend_past_both_ends():
+    # _at_knots serves the spline's knot values, the closed form below the
+    # first knot and laplace past the last, whatever order the depths
+    # below come in
+    prof = replace(g_profile(StableParams(1.5, 0.55)), _memo={})
+    t, values, h = prof._knot_table()
+    k = np.arange(-3000, t.size + 40, 7)
+    shallow = prof._at_knots(np.arange(-5, 3))
+    got = prof._at_knots(k)
+    assert_allclose(got, prof.laplace(np.exp(t[0] + h * k)), rtol=1e-13,
+                    atol=0.0)
+    inside = (k >= 0) & (k < t.size)
+    assert np.array_equal(got[inside], values[k[inside]])
+    assert np.array_equal(shallow, prof._at_knots(np.arange(-5, 3)))
+
+
 def test_spline_build_makes_no_grid_dot(monkeypatch):
     # the knots read the lattice table, not the per-argument band dot
     calls = []

@@ -421,7 +421,9 @@ def _reference_kernel(kern, u, lam_hi, lams):
     """The kernel as built before the panel lattice, for comparison: the
     oscillatory part on a cascade grid (geometric panels toward 0, then
     one panel per period) sized for lam_hi, and G's part on a real-axis
-    cascade grid of the same density."""
+    cascade grid of the same density, with G exact (``laplace``) for an
+    input declared analytic on a sector and from the spline for a
+    table."""
     fe = kern.fe
     log_floor = np.log(SpectralConfig().tol) - 12.0
     phase = kern._omega / complex(fe.cos_r, fe.freq)
@@ -437,8 +439,9 @@ def _reference_kernel(kern, u, lam_hi, lams):
     out = np.imag(np.exp(1j * fe.theta0) * phase * osc)
     if fe.coef_g != 0.0:
         nodes, wts = spectral._panel_grid(support, lam_hi * fe.freq, 24)
-        out += fe.coef_g * fe.g_spline(np.outer(lams, nodes)) \
-            @ (wts * u(nodes))
+        g = fe.g_spline if u.sector_half_angle == 0.0 \
+            else g_profile(fe.params).laplace
+        out += fe.coef_g * g(np.outer(lams, nodes)) @ (wts * u(nodes))
     return np.sqrt(2.0 / np.pi) * out
 
 
@@ -455,9 +458,10 @@ def _table_member():
     (1.9, 0.52, True, False)])                            # rotated ray
 def test_lattice_kernel_matches_the_cascade_grid(alpha, rho, dual, table):
     # the lattice holds to 3 times the lam range it is built for; the
-    # reference is the cascade-grid construction built for 12 times it.
-    # A table is only C1 at its knots, so no two grids agree on it to
-    # 1e-14: there the reference is built on the kernel's own nodes.
+    # reference is the cascade-grid construction built for 12 times it,
+    # with the exact G for an input analytic on a sector.  A table is
+    # only C1 at its knots, so no two grids agree on it to 1e-14: there
+    # the reference is built on the kernel's own nodes.
     p = StableParams(alpha, rho)
     fe = _Kernel(p.dual() if dual else p)
     u = _table_member() if table else TestFunction.power_tower()
@@ -468,6 +472,90 @@ def test_lattice_kernel_matches_the_cascade_grid(alpha, rho, dual, table):
     ref = _reference_kernel(kern, u, (1.0 if table else 12.0) * lam_hi,
                             lams)
     assert np.max(np.abs(kern(lams) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+# G's part of a transform for an input analytic on a sector |arg z| <
+# theta, against G exact (``laplace``) on Gauss-Legendre panels of 0.05
+# in log r over the same 40 units below the support end
+_KNOT_CASES = [(a, r, beta)
+               for a, r in [(1.5, 0.55), (1.5, 0.45), (1.2, 0.5), (0.8, 0.6),
+                            (1.9, 0.52)]
+               for beta in (None, 1.2, 1.5, 1.9)
+               if beta is None or 1.0 < beta <= a]
+
+
+@pytest.mark.parametrize("alpha,rho,beta", _KNOT_CASES)
+def test_g_part_on_the_knot_lattice_matches_exact_g(alpha, rho, beta):
+    p = StableParams(alpha, rho)
+    u = TestFunction.power_tower() if beta is None \
+        else TestFunction.stretched_exp(beta, alpha)
+    kern = spectral._TransformKernel(_Kernel(p), u, 10.0, SpectralConfig())
+    assert kern._m_grids is None
+    lams = np.array([0.05, 0.7, 3.0, 12.0, 30.0])
+    b = np.log(u.support_end(np.log(SpectralConfig().tol) - 12.0))
+    s, w = panel_nodes(np.linspace(b - 40.0, b, 801))
+    r = np.exp(s)
+    ref = g_profile(p).laplace(np.outer(lams, r)) @ (w * r * u(r))
+    for step in kern._steps:  # the coarse and the fine sum
+        got = kern._on_knots(lams, step)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_warm_sector_transforms_read_no_g_spline(monkeypatch):
+    # after one call of each kind, no transform kernel of an input
+    # analytic on a sector reads G's spline: its G values are knots.
+    # The outer lam integrals of semigroup_apply and pi_round_trip read
+    # F, spline and all, at their own nodes.
+    p = StableParams(1.5, 0.55)
+    u = TestFunction.power_tower()
+    lam = np.geomspace(0.1, 10.0, 16)
+    calls = {"pi_transform": lambda: pi_transform(p, u, lam),
+             "pi_hat_transform": lambda: pi_hat_transform(p, u, lam),
+             "semigroup": lambda: semigroup_apply(p, u, 0.5, 1.0),
+             "round_trip": lambda: pi_round_trip(p, u, 1.0)}
+    for call in calls.values():
+        call()
+    reads, inside = [], []
+    exact_interp = RayProfile.interp
+    exact_dot = spectral._TransformKernel._dot
+
+    def spy_interp(self, x):
+        reads.append(bool(inside))
+        return exact_interp(self, x)
+
+    def spy_dot(self, lams, which):
+        inside.append(which)
+        try:
+            return exact_dot(self, lams, which)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(RayProfile, "interp", spy_interp)
+    monkeypatch.setattr(spectral._TransformKernel, "_dot", spy_dot)
+    for name, call in calls.items():
+        reads.clear()
+        call()
+        assert not any(reads), name
+        assert bool(reads) == (name in ("semigroup", "round_trip")), name
+
+
+def test_table_input_keeps_the_cascade_g_part(monkeypatch):
+    # a table is C1 and drops to 0 at its ends, where a trapezoid sum on
+    # G's knots is first order, so its G part stays on the cascade grid
+    # pair through the spline, bit for bit
+    fe = _Kernel(StableParams(1.2, 0.5))
+    u = _table_member()
+    kern = spectral._TransformKernel(fe, u, 10.0, SpectralConfig())
+    assert kern._steps is None
+    lams = np.linspace(0.05, 30.0, 20)
+    reads = _record_args(monkeypatch, "interp")
+    got = kern(lams)
+    assert reads
+    nodes, wts = spectral._panel_grid(u.support_end(), 0.0, 24)
+    want = np.sqrt(2.0 / np.pi) * (
+        np.imag(kern._pre * kern._lattices[0](lams))
+        + fe.coef_g * (fe.g_spline(np.outer(lams, nodes)) @ (wts * u(nodes))))
+    assert np.array_equal(got, want)
 
 
 # ----------------------------------------- survival on the rotated ray
@@ -490,6 +578,23 @@ def test_survival_scaling_on_the_positive_edge():
     first = survival(p, 2.0, 1.0)
     assert 0.0 <= first <= 1.0 + 1e-9
     assert abs(survival(p, 1.0, 2.0 ** -p.alpha) - first) <= 1e-8
+
+
+# sweep inputs on the positive one-sided edge rho = 1 - 1/alpha just
+# above alpha = 1, where survival read 5.2e-8 and 6.5e-9 above 1: the
+# sector is 0.01 rad wide, so the ray runs out to q ~ 4000, where its
+# phase turns about 1 + q times faster in u = log(1 + q) than at its
+# start, and one starting panel there hid its turns from both its rules
+@pytest.mark.parametrize("alpha,rho,x,t", [
+    (1.006759476888074, 0.006714093130732568, 2.0, 1.0),
+    (1.006759476888074, 0.006714093130732568, 1.0, 0.4977),
+    (1.0177555905458926, 0.017445829539849633, 2.0, 1.0),
+    (1.0177555905458926, 0.017445829539849633, 1.0, 0.4939)])
+def test_survival_resolves_the_ray_on_the_positive_edge(alpha, rho, x, t):
+    p = StableParams(alpha, rho)
+    got = survival(p, x, t)
+    assert got <= 1.0 + 1e-9
+    assert abs(got - survival(p, x, t, SpectralConfig(1e-11))) <= 1e-8
 
 
 # survival at alpha <= 1 with rho < 1/2, where F grows faster than
