@@ -40,7 +40,7 @@ from .spectral import (SpectralConfig, TestFunction, eigen_check,
                        semigroup_apply, survival, transition_density)
 from .montecarlo import (McEstimate, PathConfig, estimate_density,
                          estimate_positivity, estimate_survival,
-                         richardson_survival, survival_counts)
+                         exact_survival, survival_counts)
 
 __all__ = [
     "BudgetExceeded", "DivisionByZero", "DomainError", "HalfstableError",
@@ -60,6 +60,6 @@ __all__ = [
     "pi_round_trip", "pi_transform", "semigroup_apply", "survival",
     "transition_density",
     "McEstimate", "PathConfig", "estimate_density", "estimate_positivity",
-    "estimate_survival", "richardson_survival", "survival_counts",
+    "estimate_survival", "exact_survival", "survival_counts",
     "__version__",
 ]

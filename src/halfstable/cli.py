@@ -2,10 +2,10 @@
 
 One subcommand per public operation plus a `verify` command, which
 prints one line per record of the identity suite in
-``halfstable.checks``, and a `simulate` command that prints Monte Carlo
-and spectral values side by side.  The point subcommands (phi, eigenfn,
-laplace, mellin) are rows of one table, ``_POINT_COMMANDS``: one
-parser loop and one handler serve them.  Every handler writes its output
+``halfstable.checks``, and a `simulate` command that prints exact Monte
+Carlo and spectral survival side by side.  The point subcommands (phi,
+eigenfn, laplace, mellin) are rows of one table, ``_POINT_COMMANDS``:
+one parser loop and one handler serve them.  Every handler writes its output
 and returns the exit code.  Tables go to stdout or, with --output, to a
 file written atomically (temp file in the target directory, then
 rename), so an interrupted run never leaves a half-written artifact.
@@ -32,7 +32,7 @@ from .checks import run_suite
 from .errors import (BudgetExceeded, DomainError, HalfstableError,
                      NonConvergence)
 from .model import StableParams, detect_doney
-from .montecarlo import PathConfig, estimate_survival, richardson_survival
+from .montecarlo import exact_survival
 
 _EXIT_DOMAIN = 3
 _EXIT_NUMERICS = 4
@@ -278,22 +278,13 @@ def _cmd_simulate(args):
     p = _params_of(args)
     value = spectral.survival(p, args.x, args.t,
                               spectral.SpectralConfig(tol=args.tol))
-    runs = [("survival", dt, estimate_survival(p, args.x, args.t, PathConfig(
-        n_paths=args.n_paths, dt=dt, horizon=args.t, seed=args.seed)))
-        for dt in args.dt]
-    if len(args.dt) == 2:
-        runs.append(("survival-extrapolated",
-                     ",".join(f"{d:g}" for d in args.dt),
-                     richardson_survival(p, args.x, args.t, args.n_paths,
-                                         tuple(args.dt), args.seed)))
-    base = {"alpha": p.alpha, "rho": p.rho, "x": args.x, "t": args.t,
-            "n_paths": args.n_paths, "seed": args.seed}
-    lines = [json.dumps(dict(base, kind=kind, dt=dt, mc=est.value,
-                             std_error=est.std_error,
-                             n_effective=est.n_effective,
-                             bias_note=est.bias_note, spectral=value))
-             for kind, dt, est in runs]
-    _write_atomic(args.output, "\n".join(lines) + "\n")
+    est = exact_survival(p, args.x, args.t, args.n_paths, args.seed)
+    line = json.dumps({"alpha": p.alpha, "rho": p.rho, "x": args.x,
+                       "t": args.t, "n_paths": args.n_paths,
+                       "seed": args.seed, "mc": est.value,
+                       "std_error": est.std_error,
+                       "bias_note": est.bias_note, "spectral": value})
+    _write_atomic(args.output, line + "\n")
     return 0
 
 
@@ -403,14 +394,13 @@ def _build_parser():
     _add_common(s)
     s.set_defaults(handler=_cmd_doney)
 
-    s = subs.add_parser("simulate", help="Monte Carlo vs spectral, JSON "
-                                         "lines")
+    s = subs.add_parser("simulate", help="Monte Carlo survival from exact "
+                                         "path minima vs spectral, one "
+                                         "JSON line")
     _add_common(s, table=False, tol=True)
     s.add_argument("--x", type=_rational, required=True)
     s.add_argument("--t", type=_rational, required=True)
     s.add_argument("--n-paths", type=int, default=100_000, dest="n_paths")
-    s.add_argument("--dt", type=_axis, default=np.array([1e-3]),
-                   help="one step size, or two for extrapolation")
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(handler=_cmd_simulate)
 

@@ -1,12 +1,13 @@
 """Path-simulation estimates of survival, density, and positivity.
 
-This is the probabilistic cross-check for the spectral formulas: paths
-are built from exact stable increments (model.sample_increment) on a
-fixed time grid, and a path dies the first time a grid value is
-negative.  Exits between grid points are invisible, so every survival
-estimate carries a positive bias that shrinks as dt does; the bias_note
-field says so explicitly, and richardson_survival removes the leading
-dt^(1/alpha) term with a two-grid extrapolation.
+This is the probabilistic cross-check for the spectral formulas, built
+from exact stable increments (model.sample_increment).  exact_survival
+takes each path's minimum over [0, t] exactly: the faces of its convex
+minorant have uniform stick-breaking lengths and independent increments,
+so the minimum is x plus the sum of the negative ones (Pitman & Uribe
+Bravo, Ann. Probab. 40, 2012).  The grid estimator (PathConfig) watches
+paths only at steps of dt, as a discretely monitored barrier does, so it
+overestimates survival, and its bias_note says so.
 
 Randomness is organized in fixed blocks of _BLOCK paths.  Block b draws
 from numpy's PCG64 seeded with SeedSequence(seed).spawn()[b], and every
@@ -28,6 +29,9 @@ _BLOCK = 8192
 
 _SURVIVAL_BIAS = "discrete-monitoring bias: overestimates survival"
 _NO_BIAS = "none: exact single-increment sampling"
+_EXACT = "none: exact path minima by stick-breaking"
+_STICKS = 50
+_EXACT_BUDGET = 2e9  # increments; the grid estimator's default budget
 
 
 def _is_int(n):
@@ -214,31 +218,37 @@ def estimate_positivity(params, n: int, seed: int = 0) -> McEstimate:
     return _binomial(positive, n, _NO_BIAS)
 
 
-def richardson_survival(params, x: float, t: float, n_paths: int,
-                        dt_pair, seed: int, budget: float = 2e9):
-    """Two-grid survival estimate with the leading monitoring bias
-    removed.
-
-    The missed-excursion bias scales like dt^(1/alpha) (the overshoot
-    scale of a stable path over one step), so with estimates p1, p2 at
-    steps d1 > d2 the extrapolation p2 - (p1 - p2) * w with
-    w = d2^(1/alpha) / (d1^(1/alpha) - d2^(1/alpha)) cancels it.  The
-    two runs use seed and seed+1: independent streams keep the error
-    combination honest.
-    """
-    d1, d2 = sorted((float(dt_pair[0]), float(dt_pair[1])), reverse=True)
-    if d1 == d2:
-        raise DomainError("dt_pair must hold two distinct steps")
+def _exact_minima(params, x, t, n, seed):
+    """Yield each block's x + minimum over [0, t] of its first `keep`
+    paths: 50 sticks of the remaining length, then the rest, each face
+    adding min(length^(1/alpha) X_1, 0)."""
     alpha = _coerce_params(params)[0]
-    e1, e2 = d1 ** (1.0 / alpha), d2 ** (1.0 / alpha)
-    w = e2 / (e1 - e2)
-    p1 = estimate_survival(params, x, t, PathConfig(
-        n_paths=n_paths, dt=d1, horizon=t, seed=seed, budget=budget))
-    p2 = estimate_survival(params, x, t, PathConfig(
-        n_paths=n_paths, dt=d2, horizon=t, seed=seed + 1, budget=budget))
-    value = p2.value - (p1.value - p2.value) * w
-    se = float(np.hypot((1.0 + w) * p2.std_error, w * p1.std_error))
-    return McEstimate(value=value, std_error=se,
-                      n_effective=p1.n_effective + p2.n_effective,
-                      bias_note="dt-extrapolated; residual bias "
-                                f"O(dt^{2.0 / alpha:.3g})")
+    for rng, keep in _blocks(seed, n):
+        low = np.full(_BLOCK, float(x))
+        rest = np.full(_BLOCK, float(t))
+        for k in range(_STICKS + 1):
+            stick = rest * rng.random(_BLOCK) if k < _STICKS else rest
+            rest = rest - stick
+            low += np.minimum(stick ** (1.0 / alpha) * sample_increment(
+                params, 1.0, rng, _BLOCK), 0.0)
+        yield low[:keep]
+
+
+def exact_survival(params, x: float, t: float, n_paths: int,
+                   seed: int) -> McEstimate:
+    """Fraction of n_paths paths from x whose minimum over [0, t] stays
+    positive, with no time grid; over 2e9 increments (51 a path) in all
+    raise BudgetExceeded before any runs."""
+    if not (_is_int(n_paths) and n_paths > 0 and _is_int(seed)
+            and seed >= 0):
+        raise DomainError("n_paths and seed must be integers, n_paths "
+                          f"positive, got {n_paths!r} and {seed!r}")
+    if not (_positive(x) and _positive(t)):
+        raise DomainError(f"x and t must be positive and finite, got {x} "
+                          f"and {t}")
+    if n_paths * (_STICKS + 1) > _EXACT_BUDGET:
+        raise BudgetExceeded(f"{n_paths * (_STICKS + 1):.3g} increments "
+                             f"exceed the budget {_EXACT_BUDGET:.3g}")
+    alive = sum(int(np.count_nonzero(low > 0.0))
+                for low in _exact_minima(params, x, t, n_paths, seed))
+    return _binomial(alive, n_paths, _EXACT)

@@ -41,7 +41,7 @@ mu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -128,12 +128,12 @@ def _prefix_table(z, zw):
     return table
 
 
-def _check_series(alpha, einf, z_hi, deriv):
+def _check_series(alpha, einf, z_hi):
     """Refuse a profile whose series overflow: the moments and the
     closed form below the series edge form powers up to z_hi^top, top =
-    max(einf + deriv + 1, 0) + 5; below alpha = 1, z_hi = e^(21 /
-    alpha), so at small alpha that overflows."""
-    top = max(einf + deriv + 1.0, 0.0) + _SERIES_TERMS - 1
+    max(einf + 1, 0) + 5; below alpha = 1, z_hi = e^(21 / alpha), so at
+    small alpha that overflows."""
+    top = max(einf + 1.0, 0.0) + _SERIES_TERMS - 1
     if top * np.log(z_hi) > _LOG_MAX:
         raise DomainError(
             f"alpha = {alpha:.3g} is below the smallest alpha "
@@ -191,6 +191,39 @@ def _gamma_pair(a, n, zhi):
     return pair
 
 
+def _band_dot(x, z, zw, prefix):
+    """sum_k e^{-x z_k} zw_k over its live band only, z increasing.
+
+    Nodes with x z <= 1e-3 enter through the prefix moments ``prefix``
+    (``_prefix_table(z, zw)``) as sum_j (-x)^j P_j, j < 6, which drops
+    terms below 1.5e-21 of their sum, the series branch's bound.
+    Exponentials run only for 1e-3 < x z <= 700, on x sorted into blocks
+    of ``numerics.blocked`` with one band each, which runs to x z = 700
+    for the block's smallest x.  Its larger x read e^-700 in place of
+    e^{-x z} past that, an error below e^-700 of each weight, which keeps
+    exp off its subnormal range (from about e^-708 on), where it is a
+    hundred times slower.
+    """
+    order = np.argsort(x)
+    xs = x[order]
+    band = np.searchsorted(z, _BAND_TOP / xs, side="right") \
+        - np.searchsorted(z, _SERIES_EDGE / xs, side="right")
+
+    def block(xb):
+        lo = np.searchsorted(z, _SERIES_EDGE / xb[-1], side="right")
+        hi = np.searchsorted(z, _BAND_TOP / xb[0], side="right")
+        e = np.multiply.outer(-xb, z[lo:hi])
+        np.maximum(e, -_BAND_TOP, out=e)
+        out = np.exp(e, out=e) @ zw[lo:hi]
+        if lo:
+            out += _series(prefix[:, lo], -xb)
+        return out
+
+    out = np.empty_like(x)
+    out[order] = blocked(block, xs, max(int(band.max()), 1))
+    return out
+
+
 @dataclass(frozen=True)
 class RayProfile:
     """W tabulated on the master grid, with its Laplace transform.
@@ -198,13 +231,15 @@ class RayProfile:
     ``laplace`` is exact up to rounding: the grid dot plus the two
     closed-form tails.  Where x z_hi <= 1e-3 the grid dot is its Taylor
     series sum_k (-x)^k M_k / k!, k < 6, with the moments M_k = sum w W
-    z^k (times -z for deriv 1) computed once per profile; W >= 0 bounds
-    M_k by z_hi^k M_0, so the dropped terms are below 1.5e-21 M_0.  The
-    two tails have series there too, and the three merge into one
-    closed form (``_small_branch``), sum_k c_k x^k + s Gamma(a) x^-a;
+    z^k computed once per profile; W >= 0 bounds M_k by z_hi^k M_0, so
+    the dropped terms are below 1.5e-21 M_0.  The two tails have series
+    there too, and the three merge into one closed form
+    (``_small_branch``), sum_k c_k x^k + Gamma(a) x^-a;
     ``rise`` gives its terms that vanish at x = 0.  Above the edge the
     same series, over the nodes with x z <= 1e-3 (prefix moments), joins
     the exponentials of the band 1e-3 < x z <= 700 (``_grid_dot``).
+    The derivative is minus the transform of z W, a profile on the same
+    grid (``_times_z``).
     ``interp`` serves laplace on [1e-3 / z_hi, 1e12] through a cubic
     spline in log x whose step divides the panel width (0.2 / 34 =
     0.00588), built once on first use from the panel lattice
@@ -235,19 +270,29 @@ class RayProfile:
             raise DomainError("deriv must be 0 or 1")
         if np.any(x < 0):
             raise DomainError("x must be >= 0")
+        if deriv == 1:
+            return -self._times_z().laplace(x)
         out = np.empty(x.shape, dtype=float)
         with np.errstate(over="ignore"):  # x z_hi = inf is not small
             small = x * self.z_hi <= _SERIES_EDGE
-        closed = self._small_branch(deriv)
+        closed = self._small_branch()
         if np.any(small):
             out[small] = closed(x[small])
         if not np.all(small):
             # the grid dot first, then its two tails
             big = ~small
-            out[big] = self._grid_dot(x[big], deriv)
-            out[big] += self._low_tail(x[big], deriv) \
-                + self._high_tail(x[big], deriv)
+            out[big] = self._grid_dot(x[big])
+            out[big] += self._low_tail(x[big]) + self._high_tail(x[big])
         return out
+
+    def _times_z(self):
+        """The profile of z W on the same grid, kept in the memo: its
+        laplace is minus this one's derivative."""
+        if "times_z" not in self._memo:
+            self._memo["times_z"] = replace(
+                self, q=self.q + 1.0, vals=self.vals * self.z,
+                e0=self.e0 + 1.0, einf=self.einf + 1.0, _memo={})
+        return self._memo["times_z"]
 
     def interp(self, x):
         """laplace(x) (deriv 0) through the profile's cubic spline.
@@ -325,8 +370,7 @@ class RayProfile:
         (each would be below e^-700 of its weight), and the two tails
         are added as in ``laplace``.  Panels refined near a pole leave
         their lattice slots at weight 0; their nodes are summed apart,
-        by exponentials over their own band and by their moments below
-        it.
+        by ``_band_dot``.
         """
         edges, lattice = _panel_edges(self.alpha, self.b)
         order = self.z.size // (edges.size - 1)
@@ -342,7 +386,7 @@ class RayProfile:
                           lattice.size - 2)
         on = (lattice[slot] == edges[:-1]) & (lattice[slot + 1] == edges[1:])
         z = self.z.reshape(-1, order)
-        zw = self._zw(0).reshape(-1, order)
+        zw = self._zw().reshape(-1, order)
         lat_z = np.zeros((lattice.size - 1, order))
         lat_zw = np.zeros_like(lat_z)
         lat_z[slot[on]], lat_zw[slot[on]] = z[on], zw[on]
@@ -374,13 +418,8 @@ class RayProfile:
                        r_lo + pad_lo - np.arange(rows), span).ravel()[:t.size]
         if not on.all():
             ref_z, ref_zw = z[~on].ravel(), zw[~on].ravel()
-            low = x * ref_z[-1] <= _SERIES_EDGE
-            live = ~low & (x * ref_z[0] <= _BAND_TOP)
-            out[low] += _series(_prefix_table(ref_z, ref_zw)[:, -1], -x[low])
-            out[live] += blocked(lambda xb: np.exp(np.maximum(
-                np.multiply.outer(-xb, ref_z), -_BAND_TOP)) @ ref_zw,
-                x[live], ref_z.size)
-        out += self._low_tail(x, 0) + self._high_tail(x, 0)
+            out += _band_dot(x, ref_z, ref_zw, _prefix_table(ref_z, ref_zw))
+        out += self._low_tail(x) + self._high_tail(x)
         return t, out, h
 
     def rise(self, x):
@@ -393,96 +432,62 @@ class RayProfile:
         """
         if self.einf + 1.0 >= 0.0:
             raise DomainError("the profile integral diverges at x = 0")
-        self._small_branch(0)
-        return self._memo["rise", 0](x)
+        self._small_branch()
+        return self._memo["rise"](x)
 
-    def _grid_dot(self, x, deriv):
-        """sum_k e^{-x z_k} zw_k over its live band only.
+    def _grid_dot(self, x):
+        """sum_k e^{-x z_k} zw_k over its live band (``_band_dot``)."""
+        return _band_dot(x, self.z, self._zw(), self._prefix())
 
-        Nodes with x z <= 1e-3 enter through prefix moments (``_prefix``)
-        as sum_j (-x)^j P_j, j < 6, which drops terms below 1.5e-21 of
-        their sum, the series branch's bound.  Exponentials run only for
-        1e-3 < x z <= 700, on x sorted into blocks of ``numerics.blocked``
-        with one band each, which runs to x z = 700 for the block's
-        smallest x.  Its larger x read e^-700 in place of e^{-x z} past
-        that, an error below e^-700 of each weight, which keeps exp off
-        its subnormal range (from about e^-708 on), where it is a
-        hundred times slower.
-        """
-        zw, z = self._zw(deriv), self.z
-        order = np.argsort(x)
-        xs = x[order]
-        band = np.searchsorted(z, _BAND_TOP / xs, side="right") \
-            - np.searchsorted(z, _SERIES_EDGE / xs, side="right")
+    def _zw(self):
+        return self.w * self.vals
 
-        def block(xb):
-            lo = np.searchsorted(z, _SERIES_EDGE / xb[-1], side="right")
-            hi = np.searchsorted(z, _BAND_TOP / xb[0], side="right")
-            e = np.multiply.outer(-xb, z[lo:hi])
-            np.maximum(e, -_BAND_TOP, out=e)
-            out = np.exp(e, out=e) @ zw[lo:hi]
-            if lo:
-                out += _series(self._prefix(deriv)[:, lo], -xb)
-            return out
-
-        out = np.empty_like(x)
-        out[order] = blocked(block, xs, max(int(band.max()), 1))
-        return out
-
-    def _zw(self, deriv):
-        wv = self.w * self.vals
-        return wv if deriv == 0 else -wv * self.z
-
-    def _moments(self, deriv):
+    def _moments(self):
         """Taylor coefficients M_k / k! of the grid dot in powers of -x.
 
         These and ``_small_branch`` form powers up to z_hi^top, which
-        ``_check_series`` bounds; ``ray_profile`` has checked deriv 0.
+        ``_check_series`` bounds (``ray_profile`` checks it first, but
+        not for ``_times_z``).
         """
-        key = ("moments", deriv)
-        if key not in self._memo:
-            _check_series(self.alpha, self.einf, self.z_hi, deriv)
-            zw = self._zw(deriv)
-            self._memo[key] = [zw @ self.z ** k / _gamma_fn(k + 1.0)
-                               for k in range(_SERIES_TERMS)]
-        return self._memo[key]
+        if "moments" not in self._memo:
+            _check_series(self.alpha, self.einf, self.z_hi)
+            zw = self._zw()
+            self._memo["moments"] = [zw @ self.z ** k / _gamma_fn(k + 1.0)
+                                     for k in range(_SERIES_TERMS)]
+        return self._memo["moments"]
 
-    def _prefix(self, deriv):
+    def _prefix(self):
         """``_prefix_table`` of the grid: the cumulative moments that
         ``_grid_dot`` reads below its band.  Their terms are those of
         ``_moments``, which refuses first where they overflow."""
-        key = ("prefix", deriv)
-        if key not in self._memo:
-            self._moments(deriv)
-            self._memo[key] = _prefix_table(self.z, self._zw(deriv))
-        return self._memo[key]
+        if "prefix" not in self._memo:
+            self._moments()
+            self._memo["prefix"] = _prefix_table(self.z, self._zw())
+        return self._memo["prefix"]
 
-    def _small_branch(self, deriv):
+    def _small_branch(self):
         """laplace below the series edge as a function of x.
 
         For x z_hi <= 1e-3 the grid dot (its Taylor series), the low
         tail (its series) and the high tail x^-a Gamma(a, z_hi x) =
         Gamma(a) x^-a - sum_k (-1)^k z_hi^(a+k) x^k / (k! (a+k)), a =
-        einf + 1 + deriv, merge into sum_k c_k x^k + s Gamma(a) x^-a,
-        k < 6, with s = -1 for deriv 1; the c_k are memoized per deriv.
-        Below a = 1/2 the tail term k = n nearest to -a cancels against
-        Gamma(a) x^-a (``_gamma_pair`` sums the two, or takes their limit
-        at a nonpositive integer a: alpha = 2, and the one-sided edge
-        where a rounds to exactly -1 or 0).
+        einf + 1, merge into sum_k c_k x^k + Gamma(a) x^-a, k < 6; the
+        c_k are memoized.  Below a = 1/2 the tail term k = n nearest to
+        -a cancels against Gamma(a) x^-a (``_gamma_pair`` sums the two,
+        or takes their limit at a nonpositive integer a: alpha = 2, and
+        the one-sided edge where a rounds to exactly -1 or 0).
         """
-        key = ("small", deriv)
-        if key in self._memo:
-            return self._memo[key]
-        a = self.einf + 1.0 + deriv
-        sign = -1.0 if deriv == 1 else 1.0
+        if "small" in self._memo:
+            return self._memo["small"]
+        a = self.einf + 1.0
         zlo, zhi = self.z_lo, self.z_hi
-        a_lo = self.e0 + 1.0 + deriv
+        a_lo = self.e0 + 1.0
         n = int(np.round(-a)) if a < 0.5 else -1
-        coefs = [(-1.0) ** k * (m + sign * (
+        coefs = [(-1.0) ** k * (m + (
             zlo ** (a_lo + k) / (a_lo + k)
             - (0.0 if k == n else zhi ** (a + k) / (a + k)))
             / _gamma_fn(k + 1.0))
-            for k, m in enumerate(self._moments(deriv))]
+            for k, m in enumerate(self._moments())]
         pair = _gamma_pair(a, n, zhi)
         # pair(x) - pair(0) where a < 0: Gamma(a) x^-a alone at n = 0
         lift = _gamma_pair(a, n if n > 0 else -1, zhi)
@@ -491,22 +496,21 @@ class RayProfile:
             if a >= 0.0 and np.any(x == 0.0):
                 raise DomainError(
                     "tail of the profile integral diverges at x = 0")
-            return _series(coefs, x) + sign * pair(x)
+            return _series(coefs, x) + pair(x)
 
-        self._memo[key] = small
-        self._memo["rise", deriv] = \
-            lambda x: x * _series(coefs[1:], x) + sign * lift(x)
+        self._memo["small"] = small
+        self._memo["rise"] = lambda x: x * _series(coefs[1:], x) + lift(x)
         return small
 
-    def _low_tail(self, x, deriv):
-        # int_0^zlo e^{-zx} z^(a-1) dz with a = e0 + deriv + 1: the lower
+    def _low_tail(self, x):
+        # int_0^zlo e^{-zx} z^(a-1) dz with a = e0 + 1: the lower
         # incomplete gamma x^-a gamma(a, zlo x), stable even for zlo x =
         # O(1).  Where zlo x <= 1e-3 it is the series zlo^a sum_k
         # (-zlo x)^k / (k! (a+k)), k < 6 (dropped terms < 1.4e-21
         # relative), since for tiny x x^-a overflows while gamma
         # underflows, and inf * 0 is nan.
         zlo = self.z_lo
-        a = self.e0 + 1.0 + deriv
+        a = self.e0 + 1.0
         out = np.empty(x.shape, dtype=float)
         small = zlo * x <= _SERIES_EDGE
         if np.any(small):
@@ -516,13 +520,13 @@ class RayProfile:
         if not np.all(small):
             xb = x[~small]
             out[~small] = xb ** (-a) * gammainc(a, zlo * xb) * _gamma_fn(a)
-        return -out if deriv == 1 else out
+        return out
 
-    def _high_tail(self, x, deriv):
+    def _high_tail(self, x):
         # int_zhi^inf e^{-zx} z^einf dz = x^{-einf-1} Gamma(einf+1, zhi x),
         # 0 past zhi x = 700, where the grid dot drops its nodes too
         zhi = self.z_hi
-        a = self.einf + 1.0 + deriv
+        a = self.einf + 1.0
         x = np.asarray(x)
         out = np.zeros(x.shape, dtype=float)
         with np.errstate(over="ignore"):
@@ -534,8 +538,6 @@ class RayProfile:
                 raise DomainError(
                     "tail of the profile integral diverges at x = 0")
             out[x == 0] = zhi ** a / (-a)
-        if deriv == 1:
-            out = -out
         return out
 
 
@@ -607,7 +609,7 @@ def ray_profile(alpha, b, q) -> RayProfile:
     e0 = q + b - 0.5 * (1.0 + alpha)
     einf = q + 0.5 * (1.0 + alpha) - b
     z_hi = float(np.exp(lattice[-1]))
-    _check_series(alpha, einf, z_hi, 0)
+    _check_series(alpha, einf, z_hi)
     u, du = panel_nodes(edges)
     z = np.exp(u)
     w = du * z  # dz = z du

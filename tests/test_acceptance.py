@@ -19,7 +19,7 @@ from halfstable.eigenfunctions import (EigenFn, doney_g, doney_laplace_f,
                                        mellin_f_quadrature,
                                        verify_lucky_integral)
 from halfstable.model import one_sided_mode
-from halfstable.montecarlo import richardson_survival
+from halfstable.montecarlo import exact_survival
 from halfstable.numerics import (IntegrandProfile, integrate_interval,
                                  integrate_semi_infinite)
 from halfstable.spectral import (SpectralConfig, TestFunction, eigen_check,
@@ -190,12 +190,10 @@ def test_10_eigenfunction_relation_via_density():
 
 
 def test_11_monte_carlo_agreement():
-    """Richardson-extrapolated survival from 2e5 paths at dt = 1e-3 and
-    2.5e-4 brackets the spectral value within three standard errors at
-    (1.5, 0.6), x = 1, t = 1."""
+    """Survival from the exact minima of 2e5 paths brackets the spectral
+    value within three standard errors at (1.5, 0.6), x = 1, t = 1."""
     p = StableParams(1.5, 0.6)
-    mc = richardson_survival(p, 1.0, 1.0, 200_000, (1e-3, 2.5e-4),
-                             seed=20260814)
+    mc = exact_survival(p, 1.0, 1.0, 200_000, seed=20260814)
     spectral = survival(p, 1.0, 1.0)
     assert abs(spectral - mc.value) <= 3.0 * mc.std_error
 

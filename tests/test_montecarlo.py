@@ -1,9 +1,11 @@
 """Path simulation: reproducibility, sharding, and statistical pulls.
 
 Everything here either checks exact integer bookkeeping (shard sums,
-histogram mass) or compares a Monte Carlo estimate to an independent
-value at a generous multiple of the standard error, so the random
-failure probability is negligible and the seeds are pinned anyway.
+histogram mass, paths that do not depend on the path total) or compares
+a Monte Carlo estimate to an independent value at a multiple of the
+standard error, with the seeds pinned.  The exact estimator has no bias,
+so its sets hold it to three standard errors, as the acceptance test
+does.
 """
 
 import numpy as np
@@ -12,9 +14,10 @@ from scipy.special import erf
 
 from halfstable import DomainError, StableParams
 from halfstable.errors import BudgetExceeded
-from halfstable.montecarlo import (McEstimate, PathConfig, estimate_density,
-                                   estimate_positivity, estimate_survival,
-                                   richardson_survival, survival_counts)
+from halfstable.montecarlo import (McEstimate, PathConfig, _exact_minima,
+                                   estimate_density, estimate_positivity,
+                                   estimate_survival, exact_survival,
+                                   survival_counts)
 from halfstable.spectral import survival
 
 P = StableParams(1.5, 0.6)
@@ -137,17 +140,51 @@ def test_brownian_survival_biased_above_erf(p_brownian):
     assert est.value - erf(0.5) < 0.05
 
 
-def test_richardson_extrapolation_against_spectral():
-    est = richardson_survival(P, 1.0, 1.0, 20_000, (0.02, 0.005), seed=5)
-    want = survival(P, 1.0, 1.0)
-    assert abs(est.value - want) < 5.0 * est.std_error
-    assert est.bias_note.startswith("dt-extrapolated")
-    # the pair order must not matter
-    flipped = richardson_survival(P, 1.0, 1.0, 20_000, (0.005, 0.02),
-                                  seed=5)
-    assert flipped.value == est.value
+def test_exact_same_seed_reproduces():
+    a = exact_survival(P, 1.0, 1.0, 20_000, seed=5)
+    b = exact_survival(P, 1.0, 1.0, 20_000, seed=5)
+    assert a == b
+    assert a.bias_note == "none: exact path minima by stick-breaking"
+    assert a.n_effective == 20_000
 
 
-def test_richardson_rejects_equal_steps():
-    with pytest.raises(DomainError):
-        richardson_survival(P, 1.0, 1.0, 10_000, (0.01, 0.01), seed=1)
+def test_exact_paths_do_not_depend_on_path_total():
+    # path i is a function of (seed, i): running more paths leaves the
+    # first block's minima bit for bit
+    one = np.concatenate(list(_exact_minima(P, 1.0, 1.0, 8192, 5)))
+    more = np.concatenate(list(_exact_minima(P, 1.0, 1.0, 20_000, 5)))
+    assert more.size == 20_000
+    assert np.array_equal(more[:8192], one)
+    k = exact_survival(P, 1.0, 1.0, 8192, seed=5).value * 8192
+    assert k == np.count_nonzero(one > 0.0)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((1.0, 1.0, 2e4, 0), "n_paths"), ((1.0, 1.0, 0, 0), "n_paths"),
+    ((1.0, 1.0, True, 0), "n_paths"), ((1.0, 1.0, 100, -1), "seed"),
+    ((1.0, 1.0, 100, 1.0), "seed"), ((float("nan"), 1.0, 100, 0), "x and t"),
+    ((1.0, float("inf"), 100, 0), "x and t"), ((0.0, 1.0, 100, 0), "x and t"),
+    ((1.0, -1.0, 100, 0), "x and t")])
+def test_exact_refuses_by_name(args, name):
+    with pytest.raises(DomainError, match=name):
+        exact_survival(P, *args)
+
+
+@pytest.mark.parametrize("alpha, rho, seed", [
+    (0.8, 0.3, 31), (0.5, 0.2, 32), (1.0, 0.3, 33), (1.5, 1.0 / 3.0, 34),
+    (2.0, 0.5, 35)])
+def test_exact_survival_against_spectral(alpha, rho, seed):
+    # alpha <= 1 with rho < 1/2, where otherwise only the Mellin-Barnes
+    # contour checks survival; the positive one-sided edge rho = 1 -
+    # 1/alpha; and Brownian motion, whose survival is erf(x / (2 sqrt t)).
+    # Each set has its own seed: sets that share one correlate.
+    p = StableParams(alpha, rho)
+    est = exact_survival(p, 1.0, 1.0, 200_000, seed)
+    want = erf(0.5) if alpha == 2.0 else survival(p, 1.0, 1.0)
+    assert abs(est.value - want) <= 3.0 * est.std_error
+
+
+def test_exact_budget_trips_before_running():
+    # 51 increments a path: 4e7 paths are 2.04e9, over the 2e9 budget
+    with pytest.raises(BudgetExceeded, match="budget"):
+        exact_survival(P, 1.0, 1.0, 40_000_000, seed=1)
