@@ -83,7 +83,7 @@ class _Kernel:
     """F at the parameters p: params for F, params.dual() for F_hat.
 
     ``osc`` is the oscillatory part; ``exact`` (``f_eigen``) adds the
-    exact G to it, a call adds G from the spline of its ray profile, and
+    exact G to it, a call adds G from its ray profile's knot table, and
     both form F below G's series edge without the constant that cancels
     there (``below_edge``, which survival's real axis reads too).
     ``growth`` is the exponential rate cos(pi rho) of F, snapped to 0
@@ -131,19 +131,19 @@ class _Kernel:
         return np.exp(v * self.cos_r) * (self.cos_r * np.sin(theta)
                                          + self.freq * np.cos(theta))
 
-    def g_spline(self, v):
-        """G from its profile's spline (zeros where coef_g is 0), looked
-        up, not held: the profile keeps this kernel in its memo."""
+    def g_interp(self, v):
+        """G from its profile's knot table (zeros where coef_g is 0),
+        looked up, not held: the profile keeps this kernel in its memo."""
         if self.coef_g == 0.0:
             return np.zeros_like(v)
         return g_profile(self.params).interp(v)
 
     def __call__(self, v):
-        return self._assemble(v, self.g_spline)
+        return self._assemble(v, self.g_interp)
 
     def exact(self, v):
         """F with the exact G (``f_eigen``), where a call reads G's
-        spline."""
+        knot table."""
         return self._assemble(v, g_profile(self.params).laplace)
 
     def _assemble(self, v, g):
@@ -180,12 +180,12 @@ class _Kernel:
         of the oscillatory part so a growing F never overflows."""
         return np.exp(v * self.cos_r - damp) \
             * np.sin(v * self.freq + self.theta0) \
-            + self.coef_g * self.g_spline(v) * np.exp(-damp)
+            + self.coef_g * self.g_interp(v) * np.exp(-damp)
 
 
 def kernel(p: StableParams) -> _Kernel:
-    """The one ``_Kernel`` of the parameter set p, kept with the G
-    spline in its profile's memo, so ``ray_profile.cache_clear()`` drops
+    """The one ``_Kernel`` of the parameter set p, kept with G's knot
+    table in its profile's memo, so ``ray_profile.cache_clear()`` drops
     both; one with no G part needs no double sine, and is built anew."""
     if p.alpha * p.rho_hat == 1.0:
         return _Kernel(p)

@@ -30,11 +30,7 @@ DONEY_TOL = 1e-12
 
 def _as_value(x):
     """Accept floats, ints, Fractions and exact rational strings."""
-    if isinstance(x, str):
-        return float(Fraction(x))
-    if isinstance(x, Fraction):
-        return float(x)
-    return float(x)
+    return float(Fraction(x)) if isinstance(x, str) else float(x)
 
 
 @dataclass(frozen=True)
@@ -88,23 +84,24 @@ class OneSidedMode:
             raise DomainError(f"unknown side {self.side!r}")
 
 
-def _coerce_params(params):
+def _coerce_params(params) -> StableParams:
+    """params, or the StableParams (checked) of an (alpha, rho) pair."""
     if isinstance(params, StableParams):
-        return params.alpha, params.rho
+        return params
     try:
         alpha, rho = params
     except TypeError:
         raise DomainError(
             "expected StableParams or an (alpha, rho) pair") from None
-    return _as_value(alpha), _as_value(rho)
+    return StableParams(alpha, rho)
 
 
 @vectorized("z")
 def psi(params, z):
     """Characteristic exponent at real z; vectorized, Psi(-z) = conj Psi(z)."""
-    alpha, rho = _coerce_params(params)
-    phase = np.pi * alpha * (0.5 - rho) * np.sign(z)
-    return np.abs(z) ** alpha * np.exp(1j * phase)
+    p = _coerce_params(params)
+    phase = np.pi * p.alpha * (0.5 - p.rho) * np.sign(z)
+    return np.abs(z) ** p.alpha * np.exp(1j * phase)
 
 
 @vectorized("x")
@@ -115,24 +112,23 @@ def levy_density(params, x):
     normalization there carries a drift term that the pure power law
     does not capture.
     """
-    alpha, rho = _coerce_params(params)
-    p = params if isinstance(params, StableParams) else StableParams(alpha,
-                                                                     rho)
-    if alpha == 1.0:
+    p = _coerce_params(params)
+    if p.alpha == 1.0:
         raise DomainError("jump density not exposed at alpha = 1")
     if np.any(x == 0):
         raise DomainError("jump density undefined at x = 0")
-    return np.where(x > 0, p.c_plus, p.c_minus) * np.abs(x) ** (-1.0 - alpha)
+    return np.where(x > 0, p.c_plus, p.c_minus) \
+        * np.abs(x) ** (-1.0 - p.alpha)
 
 
 def one_sided_mode(params):
     """Detect spectral one-sidedness (alpha in (1,2) boundary cases)."""
-    alpha, rho = _coerce_params(params)
-    if not (1.0 < alpha < 2.0):
+    p = _coerce_params(params)
+    if not (1.0 < p.alpha < 2.0):
         return None
-    if abs(alpha * rho - 1.0) < 1e-14:
+    if abs(p.alpha * p.rho - 1.0) < 1e-14:
         return OneSidedMode("spectrally_negative")
-    if abs(alpha * (1.0 - rho) - 1.0) < 1e-14:
+    if abs(p.alpha * (1.0 - p.rho) - 1.0) < 1e-14:
         return OneSidedMode("spectrally_positive")
     return None
 
@@ -144,13 +140,13 @@ def detect_doney(params, tol=DONEY_TOL, k_max=8):
     candidate l is the nearest integer to alpha rho + k alpha.  Ties at
     equal |k| are broken by smaller |l|.  Returns a DoneyClass or None.
     """
-    alpha, rho = _coerce_params(params)
-    target = alpha * rho
+    p = _coerce_params(params)
+    target = p.alpha * p.rho
     best = None
     for kk in range(0, k_max + 1):
         candidates = []
         for k in ({0} if kk == 0 else (kk, -kk)):
-            val = target + k * alpha
+            val = target + k * p.alpha
             l = int(round(val))
             res = abs(val - l)
             if res <= tol:
@@ -206,7 +202,8 @@ def sample_increment(params, t, rng, size=None):
     the one power leaves the double range (W = 0, or W far outside what
     standard_exponential draws) those draws take the two-power form.
     """
-    alpha, rho = _coerce_params(params)
+    p = _coerce_params(params)
+    alpha, rho = p.alpha, p.rho
     if not 0.0 < t < np.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
     if alpha == 2.0:

@@ -222,7 +222,7 @@ def _exact_minima(params, x, t, n, seed):
     """Yield each block's x + minimum over [0, t] of its first `keep`
     paths: 50 sticks of the remaining length, then the rest, each face
     adding min(length^(1/alpha) X_1, 0)."""
-    alpha = _coerce_params(params)[0]
+    alpha = _coerce_params(params).alpha
     for rng, keep in _blocks(seed, n):
         low = np.full(_BLOCK, float(x))
         rest = np.full(_BLOCK, float(t))

@@ -27,13 +27,13 @@ of x plus one term Gamma(a) x^-a, with coefficients memoized per
 profile, so no incomplete gamma is evaluated there.  Above it the grid
 dot runs exponentials only over its live band 1e-3 < x z <= 700, with
 the nodes below the band summed from prefix moments.  Each profile also
-serves its Laplace transform from a cubic spline in log x
-(``RayProfile.interp``) over one fixed range, built once on first use
-and kept on the profile, so ``ray_profile.cache_clear()`` drops both
-together.  The spline's knots lie on the panel lattice, so one table of
-exponentials and one matrix product give every knot's band.  The knot
-values are kept beside the spline (``RayProfile._at_knots``), from the
-same one build, for sums whose nodes sit on the knots.
+tabulates its Laplace transform on knots uniform in log x over one fixed
+range, built once on first use and kept on the profile, so
+``ray_profile.cache_clear()`` drops both together.  The knots lie on the
+panel lattice, so one table of exponentials and one matrix product give
+every knot's band.  ``RayProfile.interp`` reads the table through the
+quintic of the six nearest knots, and sums whose nodes sit on the knots
+read its values (``RayProfile._at_knots``).
 ``g_profile`` and ``mu_profile`` name the two profiles the package
 reads: G's, behind the eigenfunctions, and the supremum's mixing density
 mu.
@@ -45,7 +45,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import exp1, gammainc, gammaincc, gamma as _gamma_fn
 from scipy.special import zeta as _zeta
 
@@ -104,12 +103,15 @@ def upper_gamma(a, x):
     return g
 
 
-_SPLINE_HI = 1e12       # upper edge of the laplace spline
-_SPLINE_STEP = 0.006    # the largest node spacing in log x
+_KNOT_HI = 1e12         # upper edge of the knot table
+_KNOT_STEP = 0.006      # the largest knot spacing in log x
 _SERIES_EDGE = 1e-3     # x z_hi up to which laplace sums the Taylor series
 _SERIES_TERMS = 6
 _BAND_TOP = 700.0      # x z past which the grid dot stops
 _LOG_MAX = np.log(np.finfo(float).max)
+# row m: the s^m coefficient of the quintic through s = -2 ... 3, in 120ths
+_QUINTIC = np.round(120.0 * np.linalg.inv(
+    np.vander(np.arange(-2.0, 4.0), increasing=True))) / 120.0
 
 
 def _series(coefs, y):
@@ -240,13 +242,13 @@ class RayProfile:
     the exponentials of the band 1e-3 < x z <= 700 (``_grid_dot``).
     The derivative is minus the transform of z W, a profile on the same
     grid (``_times_z``).
-    ``interp`` serves laplace on [1e-3 / z_hi, 1e12] through a cubic
-    spline in log x whose step divides the panel width (0.2 / 34 =
-    0.00588), built once on first use from the panel lattice
+    ``interp`` serves laplace on [1e-3 / z_hi, 1e12] from a table on
+    knots uniform in log x whose step divides the panel width (0.2 / 34
+    = 0.00588), built once on first use from the panel lattice
     (``_knots``) and kept in the profile's memo: it starts at the
     series edge, so below it laplace costs only the closed form.
-    ``_at_knots`` serves the same knot values, and the closed form at
-    knots below the first, without a cubic.
+    ``_at_knots`` serves the knot values themselves, and the closed form
+    at knots below the first.
     """
     alpha: float
     b: float
@@ -295,39 +297,39 @@ class RayProfile:
         return self._memo["times_z"]
 
     def interp(self, x):
-        """laplace(x) (deriv 0) through the profile's cubic spline.
+        """laplace(x) (deriv 0) from the profile's knot table.
 
-        The spline covers [1e-3 / z_hi, 1e12] whatever the arguments, so
+        The table covers [1e-3 / z_hi, 1e12] whatever the arguments, so
         a value never depends on earlier calls; its last knot is the
-        first of its lattice at or past 1e12.  Its knots are uniform in
-        log x, so a point's interval is read off by index, scipy's but
-        within rounding of a knot, where both cubics agree to an ulp;
-        summed in scipy's order, the cubic gives CubicSpline's value.
-        Below the series edge, its lower edge, and above 1e12 the exact
-        laplace serves (the Taylor series below).
+        first of its lattice at or past 1e12.  log x in [t_i, t_i+1)
+        reads the quintic through knots i - 2 ... i + 3 by one Horner
+        pass in s = (log x - t_i) / h.  Below the series edge, the
+        table's lower edge, and above 1e12 the exact laplace serves.
         """
         x = np.asarray(x, dtype=float)
-        if "spline" not in self._memo:
-            self._memo["spline"] = CubicSpline(*self._knot_table()[:2])
-        k, c = self._memo["spline"].x, self._memo["spline"].c
+        t, _, h, coefs = self._knot_table()
         out = np.empty_like(x)
-        inside = (x >= _SERIES_EDGE / self.z_hi) & (x <= _SPLINE_HI)
-        t = np.log(x[inside])
-        i = np.clip(((t - k[0]) * ((k.size - 1) / (k[-1] - k[0])))
-                    .astype(np.intp), 0, k.size - 2)
-        d = t - k[i]
-        out[inside] = c[3][i] + c[2][i] * d + c[1][i] * (d * d) \
-            + c[0][i] * (d * d * d)
+        inside = (x >= _SERIES_EDGE / self.z_hi) & (x <= _KNOT_HI)
+        s = np.log(x[inside])
+        i = np.clip(np.floor((s - t[0]) / h).astype(np.intp), 0, t.size - 2)
+        s = (s - t.take(i)) / h  # exact near t_i; (s - t_0) / h - i is not
+        acc = coefs[5].take(i)
+        for c in coefs[4::-1]:
+            acc *= s
+            acc += c.take(i)
+        out[inside] = acc
         if not inside.all():
             out[~inside] = self.laplace(x[~inside])
         return out
 
     def _knot_table(self):
-        """(t, values, h): the knots t_k = t_0 + k h in log x of the
-        spline that ``interp`` reads and laplace (deriv 0) at them, from
-        the profile's one ``_knots`` call, kept in its memo."""
+        """(t, values, h, coefs): the knots t_k = t_0 + k h in log x,
+        laplace at them and, column i of coefs, ``interp``'s quintic on
+        [t_i, t_i+1), from the profile's one ``_knots`` call, memoized."""
         if "knots" not in self._memo:
-            self._memo["knots"] = self._knots()
+            t, values, h = self._knots()
+            win = np.lib.stride_tricks.sliding_window_view(values, 6)
+            self._memo["knots"] = t[2:-2], values[2:-2], h, _QUINTIC @ win.T
         return self._memo["knots"]
 
     def _at_knots(self, k):
@@ -336,7 +338,7 @@ class RayProfile:
         knot, and below the first its closed form, kept in the memo for
         k = -1, -2, ... as deep as any call has reached (at least twice
         the depth before, so the extensions stay few)."""
-        t, values, h = self._knot_table()
+        t, values, h, _ = self._knot_table()
         out = np.empty(k.shape)
         on = (k >= 0) & (k < t.size)
         out[on] = values[k[on]]
@@ -354,32 +356,32 @@ class RayProfile:
         return out
 
     def _knots(self):
-        """The knots in log x of the spline that ``interp`` reads,
-        laplace (deriv 0) at them, summed on the panel lattice, and the
-        knot step.
+        """The knots in log x of the table that ``interp`` reads, two
+        more past each end for its end quintics, laplace (deriv 0) at
+        them, summed on the panel lattice, and the knot step.
 
-        The knots t_k = log(1e-3 / z_hi) + k h step by h = width / K, K
+        The table's knots log(1e-3 / z_hi) + k h step by h = width / K, K
         = ceil(width / 0.006), up to the first at or above log 1e12.
-        Node m of lattice panel p sits at u_m + p width, so log(x_k z) =
-        t_0 + u_m + (k + K p) h depends on n = k + K p and m alone: the
-        exponentials of every knot's band 1e-3 < x z <= 700 are one
-        table B[s, r, m] at n = s + K r, s < K, over the band's panels
-        r, and knot k = s + K j sums B[s, r, m] zw[r - j, m] over r and
-        m, an entry of (windows of zw) @ B^T.  Below the band the prefix
-        moments serve as in ``_grid_dot``, above it no term is summed
-        (each would be below e^-700 of its weight), and the two tails
-        are added as in ``laplace``.  Panels refined near a pole leave
-        their lattice slots at weight 0; their nodes are summed apart,
-        by ``_band_dot``.
+        Node m of lattice panel p sits at u_m + p width, so with t_0 the
+        lowest knot here, log(x_k z) = t_0 + u_m + (k + K p) h depends on
+        n = k + K p and m alone: the exponentials of every knot's band
+        1e-3 < x z <= 700 are one table B[s, r, m] at n = s + K r, s < K,
+        over the band's panels r, and knot k = s + K j sums B[s, r, m]
+        zw[r - j, m] over r and m, an entry of (windows of zw) @ B^T.
+        Below the band the prefix moments serve as in ``_grid_dot``,
+        above it no term is summed (each would be below e^-700 of its
+        weight), and the two tails are added as in ``laplace``.  Panels
+        refined near a pole leave their lattice slots at weight 0; their
+        nodes are summed apart, by ``_band_dot``.
         """
         edges, lattice = _panel_edges(self.alpha, self.b)
         order = self.z.size // (edges.size - 1)
         width = (lattice[-1] - lattice[0]) / (lattice.size - 1)
-        steps = int(np.ceil(width / _SPLINE_STEP))
+        steps = int(np.ceil(width / _KNOT_STEP))
         h = width / steps
         t0 = np.log(_SERIES_EDGE / self.z_hi)
         t = t0 + h * np.arange(
-            int(np.ceil((np.log(_SPLINE_HI) - t0) / h)) + 1)
+            -2, int(np.ceil((np.log(_KNOT_HI) - t0) / h)) + 3)
         x = np.exp(t)
         # the profile's panels in their lattice slots, the rest apart
         slot = np.minimum(np.searchsorted(lattice, edges[:-1]),
@@ -391,7 +393,7 @@ class RayProfile:
         lat_zw = np.zeros_like(lat_z)
         lat_z[slot[on]], lat_zw[slot[on]] = z[on], zw[on]
         # n up to lo_n[m] lies below node m's band, up to hi_n[m] in it
-        a = t0 + panel_nodes(lattice[:2], order)[0]
+        a = t[0] + panel_nodes(lattice[:2], order)[0]
         lo_n = np.floor((np.log(_SERIES_EDGE) - a) / h).astype(np.intp)
         hi_n = np.floor((np.log(_BAND_TOP) - a) / h).astype(np.intp)
         # knot k reads node (p, m) from the prefix while k + K p <= lo_n[m]

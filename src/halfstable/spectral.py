@@ -26,14 +26,14 @@ transforms takes G's knot lattice for an input analytic on a sector (a
 trapezoid sum in log r whose nodes are G's knots shifted by -log lam)
 and the cascade grids for a table, as does every part of the heat
 kernel.  Second, the completely
-monotone part G of F is served by a cubic spline on a dense log grid,
-because the exact profile evaluation costs a ~3000-node dot per point
-and the matrix kernels below need 1e6-1e8 points.  The spline and its
-knot values belong to G's ray profile (``RayProfile.interp``,
-``RayProfile._at_knots``), read by index and built once per parameter
-set over a fixed range, as is the kernel F with its double sine
-constants (``eigenfunctions.kernel``), kept beside them:
-``ray_profile.cache_clear()`` drops all three.
+monotone part G of F is read from a table on a dense log grid, because
+the exact profile evaluation costs a ~3000-node dot per point and the
+matrix kernels below need 1e6-1e8 points.  The table belongs to G's ray
+profile, which reads it by index through quintics between its knots
+(``RayProfile.interp``) or at them (``RayProfile._at_knots``), built
+once per parameter set over a fixed range, as is the kernel F with its
+double sine constants (``eigenfunctions.kernel``), kept beside it:
+``ray_profile.cache_clear()`` drops both.
 Third, integrals that converge only conditionally (the inversion
 Pi Pi_hat u and the eigenfunction check, whose tails decay like 1/lam
 times an oscillation) are split at a finite point and finished with the
@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .eigenfunctions import EigenFn, _Kernel, f_eigen, kernel
 from .errors import BudgetExceeded, DomainError, NonConvergence
@@ -194,6 +193,7 @@ class TestFunction:
                    class_tag: str = "l2_only") -> "TestFunction":
         """Monotone piecewise-cubic interpolant on a log grid, zero
         outside the table range."""
+        from scipy.interpolate import PchipInterpolator  # tables alone need it
         x = np.asarray(x, dtype=float)
         values = np.asarray(values, dtype=float)
         if x.ndim != 1 or x.size < 4 or np.any(np.diff(x) <= 0) \
@@ -439,7 +439,7 @@ def survival(params: StableParams, x: float, t: float,
         kern = np.empty(v.shape)
         near = v <= fe.g_edge
         far = ~near
-        kern[far] = fe.coef_g * fe.g_spline(v[far])
+        kern[far] = fe.coef_g * fe.g_interp(v[far])
         head = far & (sig <= 0.0)
         kern[head] += fe.osc(v[head])
         if near.any():
@@ -619,11 +619,11 @@ class _TransformKernel:
     its integrand is analytic in s = log r on the strip |Im s| < min(theta,
     pi/2), so the trapezoid rule in s errs by about e^(-2 pi d / H) at
     step H (Trefethen and Weideman, SIAM Review 56, 2014).  H is j knot
-    steps h of G's spline, j = min(34, 2 pi d / (37 h)) (j // 2 for the
+    steps h of G's table, j = min(34, 2 pi d / (37 h)) (j // 2 for the
     fine sum), and for each lam the nodes are r = e^(t_k) / lam on the
     knots t_k, k a multiple of j (``_on_knots``): every G(lam r) is a
     value G's profile holds.  A table (theta = 0), or a sector too narrow
-    for j >= 2, keeps the cascade grid pair through the spline: a table
+    for j >= 2, keeps the cascade grid pair through ``interp``: a table
     is C1 and drops to 0 at its ends, where a trapezoid sum that moves
     with lam is first order.
     """
@@ -692,18 +692,18 @@ class _TransformKernel:
         elif self._m_grids is not None:
             nodes, row = self._m_grids[which]
             out += self.fe.coef_g * blocked(
-                lambda lb: self.fe.g_spline(np.outer(lb, nodes)) @ row,
+                lambda lb: self.fe.g_interp(np.outer(lb, nodes)) @ row,
                 lams, nodes.size)
         return np.sqrt(_TWO_OVER_PI) * out
 
     def _on_knots(self, lams, step):
         """int_0^b G(lam r) u(r) dr as the trapezoid sum H sum_k r_k
         u(r_k) G(e^(t_k)) in log r, with nodes r_k = e^(t_k) / lam on
-        the knots t_k = t_0 + k h of G's spline, k a multiple of step,
+        the knots t_k = t_0 + k h of G's table, k a multiple of step,
         H = step h: every G is a value the profile holds, or its closed
         form below the series edge.  Per lam the nodes run down from
         the last at or below log b over _G_DEPTH."""
-        t, _, h = self._profile._knot_table()
+        t, _, h, _ = self._profile._knot_table()
         big_h = step * h
         depth = np.arange(int(_G_DEPTH / big_h) + 1)
         log_lam = np.log(lams)

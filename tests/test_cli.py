@@ -21,11 +21,25 @@ from halfstable.doublesine import s2
 _SRC = str(Path(halfstable.__file__).resolve().parents[1])
 
 
-def run_cli(*args, **kw):
+def run_python(*args, **kw):
     path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "halfstable.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, **kw)
+
+
+def run_cli(*args, **kw):
+    return run_python("-m", "halfstable.cli", *args, **kw)
+
+
+def test_import_leaves_scipy_interpolate_out():
+    # G's reads need no interpolator object, so a fresh process imports
+    # no scipy.interpolate for the package or its CLI; a table input
+    # imports it when it is built
+    res = run_python("-c", "import halfstable, halfstable.cli, sys; "
+                     "print('scipy.interpolate' in sys.modules)")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_missing_argument_is_usage_error():

@@ -22,6 +22,18 @@ def test_params_admissibility():
         StableParams(1.5, 0.8)  # outside [1 - 1/alpha, 1/alpha]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: montecarlo.exact_survival((3.0, 0.5), 1.0, 1.0, 100, 0),
+    lambda: montecarlo.estimate_positivity((1.5, 0.9), 10_000),
+    lambda: psi((3.0, 0.5), 1.0)], ids=["exact_survival",
+                                        "estimate_positivity", "psi"])
+def test_an_inadmissible_pair_refuses_by_name(call):
+    # an (alpha, rho) pair passes the StableParams checks: alpha = 3 is
+    # outside (0, 2], and rho = 0.9 above 1/alpha at alpha = 1.5
+    with pytest.raises(DomainError, match="outside"):
+        call()
+
+
 def test_params_accept_rational_strings():
     p = StableParams("7/5", "3/7")
     assert p.alpha == pytest.approx(1.4)

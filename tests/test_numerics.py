@@ -120,7 +120,7 @@ def test_small_budget_stops_within_one_panel_pair():
 
 def test_warm_survival_calls_its_integrand_a_few_times(monkeypatch):
     p = StableParams(0.3, 0.5)
-    first = spectral.survival(p, 1.0, 1.0)  # builds profiles and spline
+    first = spectral.survival(p, 1.0, 1.0)  # builds profiles and G's table
     calls = []
     inner = spectral.integrate_interval
 

@@ -1,5 +1,5 @@
 """Ray profiles: the tail handoff, and the Laplace transform's exact
-small-x branch, its closed form and spline."""
+small-x branch, its closed form and knot table."""
 
 import tracemalloc
 import warnings
@@ -8,13 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.interpolate import BarycentricInterpolator
 
 from halfstable import StableParams, survival
 from halfstable.eigenfunctions import doney_g, g_func
 from halfstable.doublesine import s2_abs_squared_on_ray
 from halfstable.errors import PoleProximity
-from halfstable.profiles import (_PANEL, _SERIES_EDGE, _SPLINE_HI,
-                                 _SPLINE_STEP, RayProfile, _series,
+from halfstable.profiles import (_KNOT_HI, _KNOT_STEP, _PANEL,
+                                 _SERIES_EDGE, RayProfile, _series,
                                  g_profile, mu_profile, ray_profile)
 
 
@@ -72,20 +73,20 @@ def test_survival_below_alpha_1_against_wide_grid(alpha, rho):
 
 
 def test_spline_edge_stops_at_its_ceiling():
-    # the spline's knots run from the series edge to the first lattice
+    # the table's knots run from the series edge to the first lattice
     # knot at or above 1e12, whatever the first arguments; past 1e12 the
     # exact laplace serves, and no later argument rebuilds it.  A copy
-    # with its own memo keeps the cached profile's spline.
+    # with its own memo keeps the cached profile's table.
     prof = replace(g_profile(StableParams(1.5, 0.55)), _memo={})
     x = np.array([1.0, 1e13, 1e100, 1e300])
     got = prof.interp(x)
-    spline = prof._memo["spline"]
-    step = np.diff(spline.x).mean()
-    assert_allclose(np.exp(spline.x[0]), _SERIES_EDGE / prof.z_hi,
-                    rtol=1e-12)
-    assert _SPLINE_HI <= np.exp(spline.x[-1]) < _SPLINE_HI * np.exp(step)
+    table = prof._knot_table()
+    t, _, h, coefs = table
+    assert coefs.shape == (6, t.size - 1)
+    assert_allclose(np.exp(t[0]), _SERIES_EDGE / prof.z_hi, rtol=1e-12)
+    assert _KNOT_HI <= np.exp(t[-1]) < _KNOT_HI * np.exp(h)
     prof.interp(np.array([1e200, 1e301]))
-    assert prof._memo["spline"] is spline
+    assert prof._knot_table() is table
     assert_allclose(got[1:], prof.laplace(x[1:]), rtol=1e-15)
     assert np.all(np.isfinite(got)) and np.all(got >= 0)
 
@@ -98,27 +99,27 @@ _KNOT_SETS = [(1.5, 0.55), (1.2, 0.5), (1.9, 0.52), (0.8, 0.6), (0.5, 0.5),
 
 @pytest.mark.parametrize("alpha,rho", _KNOT_SETS)
 def test_lattice_knot_values_match_laplace(alpha, rho):
-    # the spline's data, summed on the panel lattice, against the exact
+    # the table's values, summed on the panel lattice, against the exact
     # laplace at the same knots; K steps of h <= 0.006 make one panel
     prof = replace(g_profile(StableParams(alpha, rho)), _memo={})
     prof.interp(np.array([1.0]))
-    spline = prof._memo["spline"]
-    want = prof.laplace(np.exp(spline.x))
-    assert_allclose(spline(spline.x), want, rtol=1e-13, atol=0.0)
-    k = spline.x
+    k, values, h, _ = prof._knot_table()
+    want = prof.laplace(np.exp(k))
+    assert_allclose(values, want, rtol=1e-13, atol=0.0)
     step = (k[-1] - k[0]) / (k.size - 1)
+    assert_allclose(step, h, rtol=1e-12)
     u_edge = -np.log(prof.z_lo)
     width = 2.0 * u_edge / np.ceil(2.0 * u_edge / _PANEL)
-    assert step <= _SPLINE_STEP
-    assert_allclose(np.ceil(width / _SPLINE_STEP) * step, width, rtol=1e-12)
+    assert step <= _KNOT_STEP
+    assert_allclose(np.ceil(width / _KNOT_STEP) * step, width, rtol=1e-12)
 
 
 def test_knot_values_extend_past_both_ends():
-    # _at_knots serves the spline's knot values, the closed form below the
+    # _at_knots serves the table's knot values, the closed form below the
     # first knot and laplace past the last, whatever order the depths
     # below come in
     prof = replace(g_profile(StableParams(1.5, 0.55)), _memo={})
-    t, values, h = prof._knot_table()
+    t, values, h, _ = prof._knot_table()
     k = np.arange(-3000, t.size + 40, 7)
     shallow = prof._at_knots(np.arange(-5, 3))
     got = prof._at_knots(k)
@@ -141,7 +142,7 @@ def test_spline_build_makes_no_grid_dot(monkeypatch):
     monkeypatch.setattr(RayProfile, "_grid_dot", spy)
     prof = replace(g_profile(StableParams(1.0, 0.9586)), _memo={})
     prof.interp(np.array([1.0, 2.0]))
-    assert "spline" in prof._memo and calls == []
+    assert "knots" in prof._memo and calls == []
     prof.laplace(np.array([1.0]))  # the spy sees the exact route
     assert calls == [1]
 
@@ -204,40 +205,78 @@ def _x_with_log(t):
     return x
 
 
+def _quintic_by_search(prof, x):
+    """The quintic through the six knots nearest each x, the interval
+    [t_i, t_i+1) found by search and the polynomial in scipy's
+    barycentric form, on the knot values of ``_knots`` (the two past
+    each end included), and i."""
+    k, _, h, _ = prof._knot_table()
+    t = np.log(x)
+    i = np.clip(np.searchsorted(k, t, side="right") - 1, 0, k.size - 2)
+    basis = BarycentricInterpolator(np.arange(-2.0, 4.0), np.eye(6))(
+        (t - k[i]) / h)
+    windows = prof._knots()[1][i[:, None] + np.arange(6)]
+    return np.sum(basis * windows, axis=1), i
+
+
 @pytest.mark.parametrize("alpha,rho", [(1.5, 0.55), (0.5, 0.5), (1.9, 0.52)])
 def test_spline_read_by_index_matches_scipy(alpha, rho):
     # interp finds a point's interval by index on the uniform log-x knots
-    # instead of scipy's search; on every knot, both float neighbours of
-    # it, every midpoint and random points it must give CubicSpline's
-    # value.  (0.5, 0.5) has z_hi = e^42, so its spline starts lower.
+    # instead of a search and sums its quintic from the table's
+    # coefficients; on every knot, both float neighbours of it, every
+    # midpoint and random points it must give the quintic through the
+    # same six knot values in scipy's barycentric form.  (0.5, 0.5) has
+    # z_hi = e^42, so its table starts lower.
     prof = replace(g_profile(StableParams(alpha, rho)), _memo={})
-    prof.interp(np.array([1.0]))
-    spline = prof._memo["spline"]
-    k = spline.x
+    k, _, h, _ = prof._knot_table()
     rng = np.random.default_rng(7)
     t = np.concatenate((k, np.nextafter(k[1:], -np.inf),
                         np.nextafter(k[:-1], np.inf), 0.5 * (k[1:] + k[:-1]),
                         rng.uniform(k[0], k[-1], 100_000)))
-    # the spline serves up to 1e12, a fraction of a step short of its
+    # the table serves up to 1e12, a fraction of a step short of its
     # last knot; past it the exact laplace does (below)
-    t = t[t <= np.log(_SPLINE_HI)]
+    t = t[t <= np.log(_KNOT_HI)]
     x = _x_with_log(t)
     assert np.mean(np.log(x) == t) > 0.9
-    # within rounding of a knot the index may name the interval before
-    # it, whose cubic agrees there to an ulp
-    assert_allclose(prof.interp(x), spline(np.log(x)), rtol=2.5e-16, atol=0)
+    got = prof.interp(x)
+    want, i = _quintic_by_search(prof, x)
+    # the index names the searched interval but within rounding of a
+    # knot, where it may name the one before or after
+    same = np.floor((np.log(x) - k[0]) / h) == i
+    assert np.all(same | (np.abs(np.log(x) - k[np.rint(
+        (np.log(x) - k[0]) / h).astype(int)]) <= 1e-12 * h))
+    assert_allclose(got[same], want[same], rtol=1e-15, atol=0)
+    # the knots t_0 + k h are rounded, by an ulp or so of k h, which the
+    # quintics on uniform steps read as shifts in s of up to 1e-12: the
+    # two quintics at a knot agree to that shift times G's slope in
+    # log x, at most alpha + 1 relative, not to rounding of G
+    assert_allclose(got[~same], want[~same], rtol=2e-14, atol=0)
     # the ends of the range, just outside them, 0 and inf: inside the
-    # spline, outside the exact laplace
+    # table's quintics, outside the exact laplace
     edge = _SERIES_EDGE / prof.z_hi
-    inside = np.array([edge, np.nextafter(edge, np.inf), _SPLINE_HI,
-                       np.nextafter(_SPLINE_HI, 0.0)])
-    assert_allclose(prof.interp(inside), spline(np.log(inside)),
-                    rtol=2.5e-16, atol=0)
+    inside = np.array([edge, np.nextafter(edge, np.inf), _KNOT_HI,
+                       np.nextafter(_KNOT_HI, 0.0)])
+    assert_allclose(prof.interp(inside), _quintic_by_search(prof, inside)[0],
+                    rtol=1e-15, atol=0)
     outside = np.array([np.nextafter(edge, 0.0), 0.0,
-                        np.nextafter(_SPLINE_HI, np.inf), np.inf])
+                        np.nextafter(_KNOT_HI, np.inf), np.inf])
     with np.errstate(invalid="ignore"):  # laplace(inf) is nan
         np.testing.assert_array_equal(prof.interp(outside),
                                       prof.laplace(outside))
+
+
+@pytest.mark.parametrize("alpha,rho", [(1.5, 0.55), (1.2, 0.5), (0.5, 0.5),
+                                       (0.3, 0.5), (1.9, 0.52),
+                                       (1.0, 0.9586)])
+def test_g_read_matches_laplace_to_rounding(alpha, rho):
+    # the quintics of six knots read G within rounding of its exact
+    # transform over the whole table, from the series edge to 1e11
+    prof = replace(g_profile(StableParams(alpha, rho)), _memo={})
+    rng = np.random.default_rng(32)
+    x = np.exp(rng.uniform(np.log(_SERIES_EDGE / prof.z_hi), np.log(1e11),
+                           4000))
+    gap = np.abs(prof.interp(x) - prof.laplace(x))
+    assert np.max(gap) <= 1e-14 * prof.laplace(0.0)
 
 
 @pytest.mark.parametrize("alpha,rho,profile", [
@@ -255,13 +294,13 @@ def test_profile_lattice_matches_per_point_values(alpha, rho, profile):
 
 @pytest.mark.parametrize("alpha,rho", [(1.5, 0.55), (0.3, 0.5), (0.2, 0.3)])
 def test_band_dot_matches_full_exponential_sum(alpha, rho):
-    # on a log grid over the spline's range, step 0.006: prefix moments
+    # on a log grid over the table's range, step 0.006: prefix moments
     # below x z = 1e-3 and no terms past x z = 700, against every node's
     # exponential (every 4th point)
     prof = g_profile(StableParams(alpha, rho))
     lo = _SERIES_EDGE / prof.z_hi
-    x = np.exp(np.linspace(np.log(lo), np.log(_SPLINE_HI),
-                           int(np.log(_SPLINE_HI / lo) / _SPLINE_STEP)))
+    x = np.exp(np.linspace(np.log(lo), np.log(_KNOT_HI),
+                           int(np.log(_KNOT_HI / lo) / _KNOT_STEP)))
     got = prof._grid_dot(x)[::4]
     zw = prof.w * prof.vals
     full = np.concatenate([np.exp(-np.outer(xb, prof.z)) @ zw
@@ -272,7 +311,7 @@ def test_band_dot_matches_full_exponential_sum(alpha, rho):
 
 def test_cold_profile_and_spline_stay_small():
     # every temporary of the lattice transform and the band dot is
-    # blocked; the profile and its spline at alpha 0.2 (16 800 nodes,
+    # blocked; the profile and its knot table at alpha 0.2 (16 800 nodes,
     # 23 000 knots) peak at about 4.5 MiB
     p = StableParams(0.2, 0.3)
     b, q = 1.0 + 0.2 + 0.1 * p.rho_hat, 0.1 * p.rho - 0.5

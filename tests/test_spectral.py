@@ -18,7 +18,6 @@ from halfstable import DomainError, StableParams, doublesine, spectral
 from halfstable.eigenfunctions import _Kernel
 from halfstable.errors import NonConvergence
 from halfstable.numerics import integrate_interval, panel_nodes
-from halfstable import profiles
 from halfstable.profiles import (_SERIES_EDGE, RayProfile, g_profile,
                                  ray_profile)
 from halfstable.spectral import (SpectralConfig, TestFunction, eigen_check,
@@ -269,7 +268,7 @@ def test_eigen_check_refuses_past_its_reach(p_symmetric, monkeypatch):
         eigen_check(p_symmetric, 1.0, 0.5, 1.0)
 
 
-# ------------------------------------------------------------- G spline
+# -------------------------------------------------------- G's knot table
 
 
 def _record_args(monkeypatch, name):
@@ -285,29 +284,29 @@ def _record_args(monkeypatch, name):
     return seen
 
 
-def _count_splines(monkeypatch):
-    """The CubicSpline constructions of profiles, from now on."""
+def _count_tables(monkeypatch):
+    """The knot table builds of profiles, from now on."""
     built = []
-    exact = profiles.CubicSpline
+    exact = RayProfile._knots
 
-    def counting(*args, **kw):
-        built.append(args[0].size)
-        return exact(*args, **kw)
+    def counting(self):
+        built.append(self)
+        return exact(self)
 
-    monkeypatch.setattr(profiles, "CubicSpline", counting)
+    monkeypatch.setattr(RayProfile, "_knots", counting)
     return built
 
 
 def test_g_spline_is_built_once_per_profile(p_generic, monkeypatch):
     ray_profile.cache_clear()
-    built = _count_splines(monkeypatch)
+    built = _count_tables(monkeypatch)
     first = survival(p_generic, 1.0, 1.0)
-    assert len(built) == 1  # the spline build
+    assert len(built) == 1  # the table build
     seen = _record_args(monkeypatch, "laplace")
     rose = _record_args(monkeypatch, "rise")
     assert survival(p_generic, 1.0, 1.0) == first
     assert len(built) == 1
-    # the spline starts at the profile's series edge: below it G is
+    # the table starts at the profile's series edge: below it G is
     # exact, through its closed form's rise (or laplace), and nowhere else
     edge = _SERIES_EDGE / g_profile(p_generic).z_hi
     args = np.concatenate(seen + rose)
@@ -317,7 +316,7 @@ def test_g_spline_is_built_once_per_profile(p_generic, monkeypatch):
 def test_cache_clear_drops_the_g_spline(p_generic, monkeypatch):
     before = survival(p_generic, 0.7, 2.0)
     ray_profile.cache_clear()
-    built = _count_splines(monkeypatch)
+    built = _count_tables(monkeypatch)
     after = survival(p_generic, 0.7, 2.0)
     assert len(built) == 1  # rebuilt
     assert after == before
@@ -326,7 +325,7 @@ def test_cache_clear_drops_the_g_spline(p_generic, monkeypatch):
 def test_each_g_spline_is_built_once_whatever_the_arguments(p_generic,
                                                           monkeypatch):
     ray_profile.cache_clear()
-    built = _count_splines(monkeypatch)
+    built = _count_tables(monkeypatch)
     # later calls bring G arguments past those of the first call
     slow = StableParams(0.3, 0.5)
     survival(slow, 1.0, 1.0)
@@ -337,7 +336,7 @@ def test_each_g_spline_is_built_once_whatever_the_arguments(p_generic,
     # the density reads the G profile of the dual parameters too
     used = (g_profile(slow), g_profile(p_generic),
             g_profile(p_generic.dual()))
-    assert all("spline" in prof._memo for prof in used)
+    assert all("knots" in prof._memo for prof in used)
     assert len(built) == len(used)
 
 
@@ -422,8 +421,8 @@ def _reference_kernel(kern, u, lam_hi, lams):
     oscillatory part on a cascade grid (geometric panels toward 0, then
     one panel per period) sized for lam_hi, and G's part on a real-axis
     cascade grid of the same density, with G exact (``laplace``) for an
-    input declared analytic on a sector and from the spline for a
-    table."""
+    input declared analytic on a sector and from its knot table for a
+    table input."""
     fe = kern.fe
     log_floor = np.log(SpectralConfig().tol) - 12.0
     phase = kern._omega / complex(fe.cos_r, fe.freq)
@@ -439,7 +438,7 @@ def _reference_kernel(kern, u, lam_hi, lams):
     out = np.imag(np.exp(1j * fe.theta0) * phase * osc)
     if fe.coef_g != 0.0:
         nodes, wts = spectral._panel_grid(support, lam_hi * fe.freq, 24)
-        g = fe.g_spline if u.sector_half_angle == 0.0 \
+        g = fe.g_interp if u.sector_half_angle == 0.0 \
             else g_profile(fe.params).laplace
         out += fe.coef_g * g(np.outer(lams, nodes)) @ (wts * u(nodes))
     return np.sqrt(2.0 / np.pi) * out
@@ -503,9 +502,9 @@ def test_g_part_on_the_knot_lattice_matches_exact_g(alpha, rho, beta):
 
 def test_warm_sector_transforms_read_no_g_spline(monkeypatch):
     # after one call of each kind, no transform kernel of an input
-    # analytic on a sector reads G's spline: its G values are knots.
-    # The outer lam integrals of semigroup_apply and pi_round_trip read
-    # F, spline and all, at their own nodes.
+    # analytic on a sector reads G between its knots (``interp``): its G
+    # values are knots.  The outer lam integrals of semigroup_apply and
+    # pi_round_trip read F, G's quintics and all, at their own nodes.
     p = StableParams(1.5, 0.55)
     u = TestFunction.power_tower()
     lam = np.geomspace(0.1, 10.0, 16)
@@ -542,7 +541,7 @@ def test_warm_sector_transforms_read_no_g_spline(monkeypatch):
 def test_table_input_keeps_the_cascade_g_part(monkeypatch):
     # a table is C1 and drops to 0 at its ends, where a trapezoid sum on
     # G's knots is first order, so its G part stays on the cascade grid
-    # pair through the spline, bit for bit
+    # pair through ``interp``, bit for bit
     fe = _Kernel(StableParams(1.2, 0.5))
     u = _table_member()
     kern = spectral._TransformKernel(fe, u, 10.0, SpectralConfig())
@@ -554,7 +553,7 @@ def test_table_input_keeps_the_cascade_g_part(monkeypatch):
     nodes, wts = spectral._panel_grid(u.support_end(), 0.0, 24)
     want = np.sqrt(2.0 / np.pi) * (
         np.imag(kern._pre * kern._lattices[0](lams))
-        + fe.coef_g * (fe.g_spline(np.outer(lams, nodes)) @ (wts * u(nodes))))
+        + fe.coef_g * (fe.g_interp(np.outer(lams, nodes)) @ (wts * u(nodes))))
     assert np.array_equal(got, want)
 
 
@@ -658,7 +657,7 @@ def test_round_trip_refuses_past_its_reach(p_generic, monkeypatch):
 def test_warm_calls_evaluate_no_double_sine(p_generic, monkeypatch):
     # the kernel of a parameter set holds its double sine constants and
     # lives with G's profile, so after one call of each kind no warm call
-    # evaluates s2, and ray_profile.cache_clear() drops it with the spline
+    # evaluates s2, and ray_profile.cache_clear() drops it with G's table
     u = TestFunction.power_tower()
     lam = np.array([0.5, 1.0, 2.0])
     calls = {
