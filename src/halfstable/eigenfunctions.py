@@ -12,8 +12,10 @@ everything reduces to the single profile
 
 G is completely monotone; F is bounded iff rho >= 1/2 and
 O(x^(alpha rho_hat)) at the origin.  The co-eigenfunction F_hat is F at
-the dual parameters (rho and rho_hat swapped), so the single evaluator
-``_Kernel`` serves both and holds the only copy of the oscillatory part.
+the dual parameters (rho and rho_hat swapped), so the single evaluator,
+the kernel call ``kernel(p)(x)``, serves both (``f_eigen`` returns it)
+and holds the only copy of the oscillatory part.  It reads G from G's
+knot table; G alone (``g_func``) stays exact.
 
 Closed forms implemented here:
 
@@ -75,17 +77,19 @@ class EigenFn:
 
 
 def g_func(params: StableParams, x, deriv=0):
-    """The completely monotone component G; vectorized over x >= 0."""
+    """The completely monotone component G, or G', exactly (F reads its
+    knot table instead); vectorized over x >= 0."""
     return g_profile(params).laplace(x, deriv=deriv)
 
 
 class _Kernel:
     """F at the parameters p: params for F, params.dual() for F_hat.
 
-    ``osc`` is the oscillatory part; ``exact`` (``f_eigen``) adds the
-    exact G to it, a call adds G from its ray profile's knot table, and
-    both form F below G's series edge without the constant that cancels
-    there (``below_edge``, which survival's real axis reads too).
+    A call is the package's one evaluator of F: ``osc``, the oscillatory
+    part, plus coef_g G read from G's knot table (``g_interp``), and
+    below G's series edge F without the constant that cancels there.
+    ``f_eigen``, every spectral integral and survival's real-axis head
+    read it; G alone stays exact in ``g_func``.
     ``growth`` is the exponential rate cos(pi rho) of F, snapped to 0
     below 1e-12 since cos(pi/2) rounds to ~6e-17; ``freq`` is its
     frequency sin(pi rho).
@@ -139,20 +143,12 @@ class _Kernel:
         return g_profile(self.params).interp(v)
 
     def __call__(self, v):
-        return self._assemble(v, self.g_interp)
-
-    def exact(self, v):
-        """F with the exact G (``f_eigen``), where a call reads G's
-        knot table."""
-        return self._assemble(v, g_profile(self.params).laplace)
-
-    def _assemble(self, v, g):
-        """osc(v) + coef_g G(v), with G read by g.
+        """osc(v) + coef_g G(v), G from its knot table, at an array v.
 
         Below G's series edge F(0) = 0 makes that a cancellation to a
-        residual (rounding, and coef_g times the profile's error in
-        G(0)), so there F = [osc(v) - sin theta0] + coef_g [G(v) - G(0)]:
-        the first bracket from expm1 and a sine of half the phase, the
+        residual (rounding, and coef_g times the table's error in G(0)),
+        so there F = [osc(v) - sin theta0] + coef_g [G(v) - G(0)]: the
+        first bracket from expm1 and a sine of half the phase, the
         second from the terms of G's closed form that vanish at 0
         (``RayProfile.rise``).
         """
@@ -160,20 +156,16 @@ class _Kernel:
             return self.osc(v)
         near = v <= self.g_edge
         if not near.any():
-            return self.osc(v) + self.coef_g * g(v)
+            return self.osc(v) + self.coef_g * self.g_interp(v)
         out = np.empty(v.shape)
-        far = ~near
-        out[far] = self.osc(v[far]) + self.coef_g * g(v[far])
-        out[near] = self.below_edge(v[near])
-        return out
-
-    def below_edge(self, v):
-        """F at v <= g_edge (coef_g != 0) as [osc(v) - sin theta0] +
-        coef_g [G(v) - G(0)], without the constant that cancels there."""
-        half = 0.5 * v * self.freq
-        return np.expm1(v * self.cos_r) * np.sin(v * self.freq + self.theta0) \
+        far, low = ~near, v[near]
+        out[far] = self.osc(v[far]) + self.coef_g * self.g_interp(v[far])
+        half = 0.5 * low * self.freq
+        out[near] = np.expm1(low * self.cos_r) \
+            * np.sin(low * self.freq + self.theta0) \
             + 2.0 * np.cos(self.theta0 + half) * np.sin(half) \
-            + self.coef_g * g_profile(self.params).rise(v)
+            + self.coef_g * g_profile(self.params).rise(low)
+        return out
 
     def damped(self, v, damp):
         """F(v) * e^(-damp), with the damping folded into the exponent
@@ -197,14 +189,15 @@ def kernel(p: StableParams) -> _Kernel:
 
 @vectorized("x")
 def f_eigen(fn: EigenFn, x, deriv=0):
-    """Eigenfunction profile F (or F_hat); vectorized over x > 0."""
+    """Eigenfunction profile F (or F_hat); vectorized over x >= 0.
+    deriv 0 is the kernel call; deriv 1 adds coef_g G' from ``g_func``."""
     if deriv not in (0, 1):
         raise DomainError("deriv must be 0 or 1")
     if np.any(x < 0):
         raise DomainError("x must be >= 0")
     kern = kernel(fn.params_eff)
     if deriv == 0:
-        return kern.exact(x)
+        return kern(x)
     osc = kern.osc(x, deriv)
     if kern.coef_g == 0.0:
         return osc
@@ -297,7 +290,7 @@ def mellin_f_quadrature(fn: EigenFn, z, tol=1e-8) -> QuadratureResult:
     # cancellation between sin(theta0) and the G-term.  Below G's series
     # edge x_e F is formed without it (``_Kernel``); above x_e the
     # assembled F keeps a residual of about resid, coef_g times the
-    # profile's error in G(0), which e^{z u} amplifies toward x_e, so
+    # table's error in G(0), which e^{z u} amplifies toward x_e, so
     # resid e^{Re z max(low, log x_e)} / |Re z| enters the error
     # estimate.  The head stops where such a residual would overtake the
     # true C x^(alpha rho_hat), or at x = 1e-300 before e^u underflows.
@@ -306,14 +299,14 @@ def mellin_f_quadrature(fn: EigenFn, z, tol=1e-8) -> QuadratureResult:
     rate = z.real + alpha * rh
     low = -(np.log(1.0 / tol) + 12.0) / rate
     resid = 4e-13 * (1.0 + abs(np.sin(kern.theta0)))
-    c_small = abs(f_eigen(fn, 1e-3)) / 1e-3 ** (alpha * rh) + 1e-30
+    c_small = abs(kern(np.array([1e-3]))[0]) / 1e-3 ** (alpha * rh) + 1e-30
     u_star = np.log(resid / c_small) / (alpha * rh)
     low = max(low, u_star, np.log(1e-300))
     # the residual lives above G's series edge, and nowhere without G
     log_edge = np.log(kern.g_edge) if kern.coef_g != 0.0 else np.inf
 
     def h(u):
-        return np.exp(z * u) * f_eigen(fn, np.exp(u))
+        return np.exp(z * u) * kern(np.exp(u))
 
     rest = h(np.array([low, low + 1.0])) \
         * np.exp([0.0, -(z + alpha * rh)]) / (z + alpha * rh)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and one check that uses them."""
+
+import numpy as np
 
 
 class HalfstableError(Exception):
@@ -32,3 +34,14 @@ class NonConvergence(HalfstableError, RuntimeError):
 
 class BudgetExceeded(HalfstableError, RuntimeError):
     """A simulation or computation would exceed its configured budget."""
+
+
+def _require_positive(**args):
+    """DomainError naming the first argument with an entry that is not a
+    positive finite number: "x must be positive and finite, got nan"."""
+    for name, value in args.items():
+        value = np.asarray(value, dtype=float)
+        bad = value[~((value > 0.0) & (value < np.inf))]
+        if bad.size:
+            raise DomainError(
+                f"{name} must be positive and finite, got {bad[0]:g}")

@@ -17,7 +17,7 @@ or how the blocks are distributed across workers.  Merging is integer
 counting, which makes sharded runs combine exactly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
@@ -110,28 +110,28 @@ def _blocks(seed: int, n: int, first: int = 0, count: int = None):
         yield np.random.default_rng(child), min(_BLOCK, n - b * _BLOCK)
 
 
-def _sweep_block(params, x, t, cfg, rng, keep):
-    """Run one block of paths; return (final values, alive mask) for
-    the first `keep` paths."""
+def _grid_sweep(params, x, t, cfg, first=0, count=None):
+    """Yield (final values, alive mask) of the wanted paths of each block
+    ``_blocks`` gives, every path watched at steps of cfg.dt up to t."""
     n_full, rem = _grid_steps(t, cfg.dt)
-    vals = np.full(_BLOCK, float(x))
-    alive = np.ones(_BLOCK, dtype=bool)
-    for _ in range(n_full):
-        vals += sample_increment(params, cfg.dt, rng, _BLOCK)
-        alive &= vals >= 0.0
-    if rem > 0.0:
-        vals += sample_increment(params, rem, rng, _BLOCK)
-        alive &= vals >= 0.0
-    return vals[:keep], alive[:keep]
+    for rng, keep in _blocks(cfg.seed, cfg.n_paths, first, count):
+        vals = np.full(_BLOCK, float(x))
+        alive = np.ones(_BLOCK, dtype=bool)
+        for _ in range(n_full):
+            vals += sample_increment(params, cfg.dt, rng, _BLOCK)
+            alive &= vals >= 0.0
+        if rem > 0.0:
+            vals += sample_increment(params, rem, rng, _BLOCK)
+            alive &= vals >= 0.0
+        yield vals[:keep], alive[:keep]
 
 
-def _check_time(x, t, cfg):
+def _check_time(x, t, horizon=np.inf):
     if not (_positive(x) and _positive(t)):
         raise DomainError(f"x and t must be positive and finite, got {x} "
                           f"and {t}")
-    if t > cfg.horizon * (1.0 + 1e-12):
-        raise DomainError(f"t={t} exceeds the configured horizon "
-                          f"{cfg.horizon}")
+    if t > horizon * (1.0 + 1e-12):
+        raise DomainError(f"t={t} exceeds the configured horizon {horizon}")
 
 
 def survival_counts(params, x: float, t: float, cfg: PathConfig,
@@ -142,13 +142,12 @@ def survival_counts(params, x: float, t: float, cfg: PathConfig,
     sub-range and sum the integer results; the total is bit-identical
     to a single-process run.
     """
-    _check_time(x, t, cfg)
+    _check_time(x, t, cfg.horizon)
     survivors = 0
     n = 0
-    for rng, keep in _blocks(cfg.seed, cfg.n_paths, first_block, n_blocks):
-        _, alive = _sweep_block(params, x, t, cfg, rng, keep)
+    for _, alive in _grid_sweep(params, x, t, cfg, first_block, n_blocks):
         survivors += int(alive.sum())
-        n += keep
+        n += alive.size
     return survivors, n
 
 
@@ -177,28 +176,24 @@ def estimate_density(params, x: float, t: float, bins,
     hold the mass; the clipped fraction is whatever survival puts
     outside it.
     """
-    _check_time(x, t, cfg)
+    _check_time(x, t, cfg.horizon)
     edges = np.asarray(bins, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise DomainError("bins must be a strictly increasing 1-d grid "
                           "of at least two edges")
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     n = 0
-    for rng, keep in _blocks(cfg.seed, cfg.n_paths):
-        vals, alive = _sweep_block(params, x, t, cfg, rng, keep)
+    for vals, alive in _grid_sweep(params, x, t, cfg):
         ends = np.clip(vals[alive], edges[0], edges[-1])
-        idx = np.minimum(np.searchsorted(edges, ends, side="right") - 1,
-                         edges.size - 2)
-        idx = np.maximum(idx, 0)
+        idx = np.clip(np.searchsorted(edges, ends, side="right") - 1, 0,
+                      edges.size - 2)
         counts += np.bincount(idx, minlength=edges.size - 1)
-        n += keep
-    widths = np.diff(edges)
+        n += alive.size
     out = []
-    for k, w in zip(counts, widths):
-        p = k / n
-        se = float(np.sqrt(p * (1.0 - p) / n))
-        out.append(McEstimate(value=p / w, std_error=se / w,
-                              n_effective=n, bias_note=_SURVIVAL_BIAS))
+    for k, w in zip(counts, np.diff(edges)):
+        est = _binomial(k, n, _SURVIVAL_BIAS)
+        out.append(replace(est, value=est.value / w,
+                           std_error=est.std_error / w))
     return out
 
 
@@ -243,9 +238,7 @@ def exact_survival(params, x: float, t: float, n_paths: int,
             and seed >= 0):
         raise DomainError("n_paths and seed must be integers, n_paths "
                           f"positive, got {n_paths!r} and {seed!r}")
-    if not (_positive(x) and _positive(t)):
-        raise DomainError(f"x and t must be positive and finite, got {x} "
-                          f"and {t}")
+    _check_time(x, t)
     if n_paths * (_STICKS + 1) > _EXACT_BUDGET:
         raise BudgetExceeded(f"{n_paths * (_STICKS + 1):.3g} increments "
                              f"exceed the budget {_EXACT_BUDGET:.3g}")

@@ -33,7 +33,8 @@ profile, which reads it by index through quintics between its knots
 (``RayProfile.interp``) or at them (``RayProfile._at_knots``), built
 once per parameter set over a fixed range, as is the kernel F with its
 double sine constants (``eigenfunctions.kernel``), kept beside it:
-``ray_profile.cache_clear()`` drops both.
+``ray_profile.cache_clear()`` drops both.  The kernel call is the one
+evaluator of F here and in ``f_eigen``.
 Third, integrals that converge only conditionally (the inversion
 Pi Pi_hat u and the eigenfunction check, whose tails decay like 1/lam
 times an oscillation) are split at a finite point and finished with the
@@ -58,8 +59,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .eigenfunctions import EigenFn, _Kernel, f_eigen, kernel
-from .errors import BudgetExceeded, DomainError, NonConvergence
+from .eigenfunctions import _Kernel, kernel
+from .errors import (BudgetExceeded, DomainError, NonConvergence,
+                     _require_positive)
 from .model import StableParams
 from .numerics import (blocked, integrate_interval,
                        integrate_oscillatory_decaying, panel_nodes,
@@ -376,8 +378,7 @@ def survival(params: StableParams, x: float, t: float,
     overflows, NonConvergence names it before any work.  Values outside
     [0, 1] (possible at loose tolerances) trigger a warning.
     """
-    if x <= 0 or t <= 0:
-        raise DomainError("x and t must be positive")
+    _require_positive(x=x, t=t)
     alpha, rho = params.alpha, params.rho
     fe = kernel(params)
     with np.errstate(over="ignore", divide="ignore"):  # t at 1e-/1e+300
@@ -413,37 +414,39 @@ def survival(params: StableParams, x: float, t: float,
         log_z = np.log(z)
         return w * z - np.exp(log_tau_ray + alpha * log_z) + u - log_z
 
-    # Re(w z) = cos(pi rho) - q sin(window / 2): the grid ends past the cut
-    log_ray = on_ray(_RAY_GRID)
-    above = np.flatnonzero(log_ray.real > np.log(cfg.tol) - 5.0)
-    top = above[-1] + 1 if above.size else 0
-    u_hi = _RAY_GRID[top]
+    # Re(w z) = cos(pi rho) - q sin(window / 2): the ray ends one grid
+    # step past the last point above the cut, u = 0 included, and is
+    # skipped where none is (tau = t x^-alpha past about 30)
+    grid = np.concatenate(([0.0], _RAY_GRID))
+    log_ray = on_ray(grid)
+    live = log_ray.real > np.log(cfg.tol) - 5.0
+    top = np.flatnonzero(live)[-1] if live.any() else -1
+    u_hi = grid[top + 1]
     # the phase Im on_ray turns about 1 + q times faster in u far out on
     # the ray than at its start: a grid step it turns by more than
     # _RAY_TURN radians is cut into as many equal panels as that takes.
     # On a narrow sector's far end (at (1.0068, 0.0067) one step turned
-    # by 337 radians) a panel hid its turns from both of its rules.
-    ray_edges = _RAY_GRID[:top].tolist()
-    phase = log_ray.imag[:top + 1].tolist()
-    for hi, a, b in zip(ray_edges + [u_hi], [w.imag] + phase, phase):
-        n = math.ceil(abs(b - a) / _RAY_TURN)
-        ray_edges += [hi - 0.5 * j / n for j in range(1, n)]
+    # by 337 radians) a panel hid its turns from both of its rules.  A
+    # step below the cut at both ends gets none: at tau = 1e10 its turn
+    # would take 2e8.
+    ray_edges = grid[1:top + 1].tolist()
+    for k in range(top + 1):
+        if live[k] or live[k + 1]:
+            n = math.ceil(abs(log_ray.imag[k + 1] - log_ray.imag[k])
+                          / _RAY_TURN)
+            ray_edges += [grid[k + 1] - 0.5 * j / n for j in range(1, n)]
 
     def damping(sig):  # e^-damping is 0 long before its exponent is 700
         return np.exp(-np.exp(np.minimum(log_tau + alpha * sig, 700.0)))
 
     def real_axis(sig):
-        """The kernel, G's part alone past sigma = 0, times e^-damping;
-        below G's series edge F's form without its cancelling constant."""
+        """The kernel call up to sigma = 0, G's part alone past it, times
+        e^-damping."""
         v = np.exp(sig)
         kern = np.empty(v.shape)
-        near = v <= fe.g_edge
-        far = ~near
-        kern[far] = fe.coef_g * fe.g_interp(v[far])
-        head = far & (sig <= 0.0)
-        kern[head] += fe.osc(v[head])
-        if near.any():
-            kern[near] = fe.below_edge(v[near])
+        head = sig <= 0.0
+        kern[head] = fe(v[head])
+        kern[~head] = fe.coef_g * fe.g_interp(v[~head])
         return kern * damping(sig)
 
     def integrand(v):
@@ -562,10 +565,7 @@ def transition_density(params: StableParams, x: float, y, t: float,
     oscillatory quadrature and are returned as computed.
     """
     _check_defined(params, "density")
-    if x <= 0 or t <= 0:
-        raise DomainError("x and t must be positive")
-    if np.any(y <= 0):
-        raise DomainError("y must be positive")
+    _require_positive(x=x, t=t, y=y)
     kern = _HeatKernel(params, x, t, float(y.max()), cfg)
     vals, est = kern.eval_with_est(y)
     scale = max(float(np.max(np.abs(vals))), 1e-300)
@@ -734,8 +734,7 @@ def _pi_common(fe, u, lam, cfg):
     if not isinstance(u, TestFunction):
         raise DomainError("u must be a TestFunction (wrap tables with "
                           "TestFunction.from_table)")
-    if np.any(lam <= 0):
-        raise DomainError("lam must be positive")
+    _require_positive(lam=lam)
     kern = _TransformKernel(fe, u, float(lam.max()), cfg)
     vals = kern(lam)
     step = max(1, lam.size // 16)
@@ -773,8 +772,7 @@ def semigroup_apply(params: StableParams, u: TestFunction, t: float,
     _check_defined(params, "diagonalization")
     if u.class_tag != "x_alpha_member":
         raise DomainError("semigroup_apply needs an x_alpha_member input")
-    if np.any(x <= 0) or t <= 0:
-        raise DomainError("x and t must be positive")
+    _require_positive(x=x, t=t)
     alpha = params.alpha
     fe = kernel(params)
     lam_cut = _cutoff(alpha, t, 0.0, cfg.tol, fe.bound)
@@ -835,8 +833,7 @@ def pi_round_trip(params: StableParams, u: TestFunction, x: float,
     if u.class_tag != "x_alpha_member":
         raise DomainError("the inversion identity needs an x_alpha_member "
                           "input")
-    if x <= 0:
-        raise DomainError("x must be positive")
+    _require_positive(x=x)
     fe = kernel(params)
     freq = x * fe.freq
     lam0 = 30.0
@@ -864,13 +861,15 @@ def eigen_check(params: StableParams, lam: float, t: float, x: float,
     tail that does not converge within it raises NonConvergence.  lam
     below 0.1 is refused (both sides of the relation degenerate toward 0
     and the ratio is noise).
+    It resolves at and just above rho = 1/2 ((1.9, 0.51), lam = 3); past
+    that the y range grows the dual kernel like e^(y cos(pi rho_hat)), and
+    it refuses, naming the cancellation (e^1114 at (1.5, 0.52), lam = 1).
     """
     _check_defined(params, "diagonalization")
     _check_defined(params, "density")
     if lam < 0.1:
         raise DomainError("eigen_check requires lam >= 0.1")
-    if x <= 0 or t <= 0:
-        raise DomainError("x and t must be positive")
+    _require_positive(lam=lam, x=x, t=t)
     fe = kernel(params)
     freq = lam * fe.freq
     y0 = 25.0 + 4.0 / lam
@@ -893,6 +892,5 @@ def eigen_check(params: StableParams, lam: float, t: float, x: float,
     lhs = _head_and_tail(integrand, y0, freq, cfg.tol, max(cfg.tol, 1e-8),
                          _EIGEN_TAIL_PANELS, reach,
                          ("eigen_check", "y", "density"))
-    rhs = np.exp(-t * lam ** params.alpha) \
-        * float(f_eigen(EigenFn(params), lam * x))
+    rhs = np.exp(-t * lam ** params.alpha) * fe(np.array([lam * x]))[0]
     return float(abs(lhs - rhs) / abs(rhs))

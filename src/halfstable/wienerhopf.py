@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .doublesine import SurfacePoint, log_s2, s2, s2_abs_squared_on_ray
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NonConvergence, _require_positive
 from .model import StableParams, psi
 from .numerics import integrate_finite_singular, vectorized
 from .profiles import g_profile, mu_profile
@@ -277,8 +277,7 @@ def resolvent_density(params: StableParams, q, x, y):
     endpoint.  Raises NonConvergence when the quadrature does not
     converge.
     """
-    if x <= 0 or y <= 0:
-        raise DomainError("x and y must be positive")
+    _require_positive(q=q, x=x, y=y)
     alpha = params.alpha
     if x == y and alpha <= 1.0:
         raise DomainError(

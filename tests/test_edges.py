@@ -10,6 +10,8 @@ E_x e^(-q tau) = Z^(q)(x) - q^(1 - 1/alpha) W^(q)(x) term by term in q
 in r = x t^(-1/alpha), entire for alpha > 1.
 """
 
+import time
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -84,3 +86,17 @@ def test_survival_on_the_negative_edge_matches_the_series(alpha, x, t):
     p = StableParams(alpha, 1.0 / alpha)
     got = survival(p, x, t, SpectralConfig(tol=_TOL))
     assert abs(got - series_survival(alpha, x, t)) <= _TOL
+
+
+@pytest.mark.parametrize("alpha,rho,x,t", [
+    (2.0, 0.5, 1.0, 1e6), (2.0, 0.5, 1.0, 1e10), (2.0, 0.5, 1.0, 1e300),
+    (2.0, 0.5, 1e-30, 1.0), (1.5, 1.0 / 1.5, 1e-4, 1.0)])
+def test_survival_at_large_tau_is_quick_and_right(alpha, rho, x, t):
+    # tau = t x^-alpha from 1e6 to 1e300 puts the whole ray below its cut;
+    # sizing its panels by the phase turn would take about 0.02 tau edges
+    start = time.perf_counter()
+    got = survival(StableParams(alpha, rho), x, t, SpectralConfig(tol=_TOL))
+    assert time.perf_counter() - start < 0.5
+    want = float(mp.erf(x / (2 * mp.sqrt(t)))) if alpha == 2.0 \
+        else series_survival(alpha, x, t)
+    assert abs(got - want) <= _TOL

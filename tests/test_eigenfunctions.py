@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 from halfstable import DomainError, StableParams
 from halfstable.eigenfunctions import (EigenFn, doney_g, doney_laplace_f,
                                        doney_mellin_f, f_eigen, g_func,
-                                       laplace_f, laplace_f_quadrature,
+                                       kernel, laplace_f, laplace_f_quadrature,
                                        mellin_f, mellin_f_continued,
                                        mellin_f_quadrature,
                                        verify_lucky_integral)
@@ -77,6 +77,28 @@ def test_dual_direction_is_dual_params(p_generic):
     fp = EigenFn(p_generic.dual())
     for x in (0.4, 1.3, 3.0):
         assert f_eigen(fd, x) == f_eigen(fp, x)
+
+
+@pytest.mark.parametrize("direction", ["primal", "dual"])
+@pytest.mark.parametrize("alpha,rho", [
+    (1.5, 0.55), (1.3, 0.5), (0.8, 0.6), (1.9, 0.52), (1.2, 0.4),
+    (0.5, 0.5), (0.2, 0.3), (0.3, 0.9), (1.0, 0.9586), (1.02, 0.97)])
+def test_f_eigen_is_the_kernel_call(alpha, rho, direction):
+    # one evaluator of F: f_eigen returns the kernel's own read, G from
+    # its knot table, and that read is F with G exact to rounding of
+    # bound; below the series edge, where G is its closed form, F is
+    # taken without the constant sin(theta0) + coef_g G(0) = F(0) = 0
+    fn = EigenFn(StableParams(alpha, rho), direction)
+    kern = kernel(fn.params_eff)
+    x = np.geomspace(1e-300, 1e14, 600)
+    x = x[x * kern.growth < 600.0]  # where a growing F is finite
+    np.testing.assert_array_equal(f_eigen(fn, x), kern(x))
+    g = g_func(kern.params, x)
+    exact = np.where(
+        x > kern.g_edge, kern.osc(x) + kern.coef_g * g,
+        kern.osc(x) - np.sin(kern.theta0)
+        + kern.coef_g * (g - g_func(kern.params, 0.0)))
+    assert np.max(np.abs(kern(x) - exact)) <= 1e-14 * kern.bound
 
 
 @pytest.mark.parametrize("alpha,rho", TRANSFORM_PARAMS)

@@ -14,7 +14,8 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 from scipy.special import erf
 
-from halfstable import DomainError, StableParams, doublesine, spectral
+from halfstable import (DomainError, StableParams, doublesine,
+                        resolvent_density, spectral)
 from halfstable.eigenfunctions import _Kernel
 from halfstable.errors import NonConvergence
 from halfstable.numerics import integrate_interval, panel_nodes
@@ -116,6 +117,37 @@ def test_survival_domain_guards(p_generic):
     for x, t in [(1.0, 0.0), (1.0, -1.0), (0.0, 1.0)]:
         with pytest.raises(DomainError):
             survival(p_generic, x, t)
+
+
+_P = StableParams(1.5, 0.55)
+_TOWER = TestFunction.power_tower()
+# each operation with one argument left to the test, at a set where every
+# other argument is admissible
+_ONE_ARGUMENT = {
+    "survival x": lambda v: survival(_P, v, 1.0),
+    "survival t": lambda v: survival(_P, 1.0, v),
+    "transition_density x": lambda v: transition_density(_P, v, 1.0, 1.0),
+    "transition_density y": lambda v: transition_density(_P, 1.0, v, 1.0),
+    "transition_density t": lambda v: transition_density(_P, 1.0, 1.0, v),
+    "pi_transform lam": lambda v: pi_transform(_P, _TOWER, v),
+    "semigroup_apply t": lambda v: semigroup_apply(_P, _TOWER, v, 1.0),
+    "semigroup_apply x": lambda v: semigroup_apply(_P, _TOWER, 1.0, v),
+    "pi_round_trip x": lambda v: pi_round_trip(_P, _TOWER, v),
+    "resolvent_density q": lambda v: resolvent_density(_P, v, 1.0, 2.0),
+    "resolvent_density x": lambda v: resolvent_density(_P, 1.0, v, 2.0),
+    "eigen_check x": lambda v: eigen_check(StableParams(1.5, 0.5), 1.0, 1.0,
+                                           v),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("operation", sorted(_ONE_ARGUMENT))
+def test_a_nonfinite_argument_is_refused_by_name(operation, value):
+    name = operation.split()[1]
+    with pytest.raises(DomainError,
+                       match=f"^{name} must be positive and finite, got "
+                             f"{value:g}$"):
+        _ONE_ARGUMENT[operation](value)
 
 
 # ------------------------------------------------------------ the kernel
